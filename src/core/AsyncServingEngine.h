@@ -9,14 +9,14 @@
  * A synchronous backend serves queries as fast as its devices allow
  * but has no admission decision anywhere: producers outpace it and
  * in-flight work grows without bound. AsyncServingEngine adds that
- * layer over any core::QueryBackend -- a ServingEngine replica pool,
- * a single ExecutionSession, or a ShardedEngine fanning out across M
- * devices:
+ * layer over any core::QueryBackend -- a ServingEngine replica pool
+ * (one replica serves a single device) or a ShardedEngine fanning out
+ * across M devices:
  *
  *   producers -> BoundedQueue (capacity + overflow policy)
  *             -> dispatcher threads (one per backend concurrency slot
  *                by default)
- *             -> QueryBackend (replicas / session / shards)
+ *             -> QueryBackend (replicas / shards)
  *
  * @code
  *   auto engine = kernel.createAsyncServingEngine(setup_args, 4, {});
@@ -220,10 +220,10 @@ class AsyncServingEngine
 
     /**
      * Take ownership of any synchronous backend (a ServingEngine, a
-     * SingleSessionBackend, a ShardedEngine, ...) and put the bounded
-     * queue + dispatchers in front of it. Prefer
-     * CompiledKernel::createAsyncServingEngine() for the common
-     * replica-pool case.
+     * ShardedEngine, ...) and put the bounded queue + dispatchers in
+     * front of it. Prefer CompiledKernel::createAsyncServingEngine()
+     * for the replica-pool case, including one replica over a single
+     * device.
      */
     AsyncServingEngine(std::unique_ptr<QueryBackend> backend,
                        AsyncServingOptions options = {});

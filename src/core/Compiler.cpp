@@ -176,9 +176,8 @@ std::unique_ptr<ServingEngine>
 CompiledKernel::createServingEngine(
     const std::vector<rt::BufferPtr> &setup_args, int replicas)
 {
-    return std::make_unique<ServingEngine>(ctx_, module_, options_, entry_,
-                                           setup_args, replicas,
-                                           executionPlan());
+    return std::make_unique<ServingEngine>(createSession(setup_args),
+                                           replicas);
 }
 
 std::unique_ptr<AsyncServingEngine>

@@ -121,22 +121,22 @@ ExecutionResult runKernelOnce(ir::Module &module, const std::string &entry,
  * Validate @p args against the signature of kernel entry block
  * @p body: arity, non-null buffers, tensor shapes. Throws
  * CompilerError naming @p entry on mismatch. Shared by sessions and
- * the serving engine.
+ * the sharded engine.
  */
 void validateKernelArgs(ir::Block *body, const std::string &entry,
                         const std::vector<rt::BufferPtr> &args);
 
 /**
- * The one plan-or-tree-walk policy, shared by CompiledKernel,
- * ExecutionSession and ServingEngine: compile @p entry of @p module
- * into an ExecutionPlan unless tree-walk execution is forced, falling
- * back to nullptr (= tree walk) when the module is outside the plan
- * compiler's vocabulary. Every call goes through the process-wide
- * PlanCache (see core/PlanCache.h), so sessions, serving replicas,
- * equal-slice shards and DSE candidates compiling the same (module,
- * entry, options) shape pay the compile -- and the optimizer pipeline
- * -- exactly once. @p cache_key, when non-null, receives the cache key
- * used (for later invalidation).
+ * The one plan-or-tree-walk policy, shared by CompiledKernel and
+ * ExecutionSession (serving replicas are cloned sessions): compile
+ * @p entry of @p module into an ExecutionPlan unless tree-walk
+ * execution is forced, falling back to nullptr (= tree walk) when the
+ * module is outside the plan compiler's vocabulary. Every call goes
+ * through the process-wide PlanCache (see core/PlanCache.h), so
+ * sessions, equal-slice shards and DSE candidates compiling the same
+ * (module, entry, options) shape pay the compile -- and the optimizer
+ * pipeline -- exactly once. @p cache_key, when non-null, receives the
+ * cache key used (for later invalidation).
  */
 std::shared_ptr<const rt::ExecutionPlan>
 tryCompilePlan(const ir::Module &module, const std::string &entry,
@@ -192,7 +192,7 @@ class CompiledKernel
     createSession(const std::vector<rt::BufferPtr> &setup_args);
 
     /**
-     * Open a parallel serving engine: programs one device (setup
+     * Open a parallel serving engine: programs one session (setup
      * phase), clones it into @p replicas programmed copies and serves
      * queries through a worker pool with one thread per replica. Each
      * served query's PerfReport is bit-identical to a serial

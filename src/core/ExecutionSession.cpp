@@ -6,6 +6,8 @@
 
 namespace c4cam::core {
 
+using Clock = ServingRecorder::Clock;
+
 sim::PerfReport
 nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
 {
@@ -14,9 +16,9 @@ nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
         setup.setupLatencyNs += r.perf.setupLatencyNs;
         setup.setupEnergyPj += r.perf.setupEnergyPj;
         setup.writes += r.perf.writes;
-        // High-water marks, not last-run snapshots (same rule as
-        // PerfReport::addFullRun): a heterogeneous batch must not let
-        // the final run misreport utilization().
+        // High-water marks, not last-run snapshots (the same rule the
+        // full-run aggregate folds by): a heterogeneous batch must not
+        // let the final run misreport utilization().
         setup.subarraysUsed =
             std::max(setup.subarraysUsed, r.perf.subarraysUsed);
         setup.subarraysAllocated =
@@ -46,139 +48,202 @@ ExecutionSession::ExecutionSession(
 
     persistent_ = !options_.hostOnly &&
                   rt::Interpreter::hasPhaseMarkers(func);
-    if (!persistent_)
-        return; // fall back to full re-execution per query
-
-    device_ = std::make_unique<sim::CamDevice>(options_.spec);
-    device_->setFusionModel(options_.fusionModel);
-    if (plan_) {
-        frame_ = plan_->makeFrame();
-        plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
-                   rt::ExecutionPlan::ExecPhase::SetupOnly);
-    } else {
-        interpreter_ = std::make_unique<rt::Interpreter>(*module_);
-        state_ = rt::ExecutionState(device_.get());
-        interpreter_->callFunction(state_, entry_,
-                                   rt::toRtValues(setup_args),
-                                   rt::Interpreter::ExecPhase::SetupOnly);
+    if (persistent_) {
+        device_ = std::make_unique<sim::CamDevice>(options_.spec);
+        // Clones inherit the model via cloneProgrammed's copy, so a
+        // replica pool fuses under one accounting regime.
+        device_->setFusionModel(options_.fusionModel);
+        if (plan_) {
+            frame_ = plan_->makeFrame();
+            plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
+                       rt::ExecutionPlan::ExecPhase::SetupOnly);
+        } else {
+            interpreter_ = std::make_shared<rt::Interpreter>(*module_);
+            state_ = rt::ExecutionState(device_.get());
+            interpreter_->callFunction(state_, entry_,
+                                       rt::toRtValues(setup_args),
+                                       rt::Interpreter::ExecPhase::SetupOnly);
+        }
+        setupReport_ = device_->report();
     }
-    setupReport_ = device_->report();
-    aggregate_ = setupReport_;
+    // Non-persistent sessions fall back to full re-execution per query.
+    recorder_ = std::make_unique<ServingRecorder>(setupReport_, persistent_);
 }
 
-void
-ExecutionSession::enableTracing(support::TraceCollector *collector)
+ExecutionSession
+ExecutionSession::clone() const
 {
-    trace_ = collector;
-    traceId_ = collector ? collector->newTraceId() : 0;
+    ExecutionSession copy;
+    copy.ctx_ = ctx_;
+    copy.module_ = module_;
+    copy.options_ = options_;
+    copy.entry_ = entry_;
+    copy.entryBody_ = entryBody_;
+    copy.interpreter_ = interpreter_;
+    copy.plan_ = plan_;
+    copy.persistent_ = persistent_;
+    copy.setupReport_ = setupReport_;
+    if (persistent_) {
+        // The clone copies the programmed cells, the setup accounting
+        // and the handle numbering, so a copied slot frame (setup
+        // results are immutable once programmed) or a forked
+        // interpreter state keeps addressing the right subarrays.
+        copy.device_ = device_->cloneProgrammed();
+        if (plan_)
+            copy.frame_ = frame_;
+        else
+            copy.state_ = state_.forkForReplica(copy.device_.get());
+    }
+    copy.recorder_ =
+        std::make_unique<ServingRecorder>(setupReport_, persistent_);
+    return copy;
+}
+
+ExecutionResult
+ExecutionSession::serve(const std::vector<rt::BufferPtr> &args,
+                        const support::SpanContext *ctx)
+{
+    // Tracing adds an id handout plus a few clock reads per query when
+    // a context is threaded in, and predictable null checks when not;
+    // it never touches the device or the result, so outputs and
+    // PerfReports stay bit-identical either way.
+    support::SpanContext root;
+    bool own_root = recorder_->openRoot(ctx, root);
+    support::TraceCollector *col =
+        ctx && ctx->collector ? ctx->collector : nullptr;
+    std::uint64_t execSpan = col ? col->newSpanId() : 0;
+    double e0 = col ? col->nowUs() : 0.0;
+    auto record_span = [&](const char *name, std::uint64_t span_id,
+                           double start_us, double end_us,
+                           const sim::PerfReport *perf) {
+        support::TraceEvent ev;
+        ev.name = name;
+        ev.traceId = ctx->traceId;
+        ev.queryId = ctx->queryId;
+        ev.spanId = span_id;
+        ev.parentSpanId = ctx->parentSpanId;
+        ev.startUs = start_us;
+        ev.durUs = end_us - start_us;
+        if (perf)
+            sim::attachWindowBreakdown(ev, *perf);
+        col->record(ev);
+    };
+
+    ExecutionResult result;
+    try {
+        if (!persistent_) {
+            result = runKernelOnce(*module_, entry_, options_, args,
+                                   plan_.get());
+        } else {
+            // Fresh accounting window: this query's report covers
+            // exactly this call on top of the shared setup,
+            // bit-identical to a single-shot run.
+            device_->beginQueryWindow();
+            if (plan_) {
+                if (col)
+                    frame_.trace = support::SpanContext{
+                        col, ctx->traceId, ctx->queryId, execSpan};
+                result.outputs =
+                    plan_->run(frame_, device_.get(), rt::toRtValues(args),
+                               rt::ExecutionPlan::ExecPhase::QueryOnly);
+                frame_.trace = support::SpanContext{};
+            } else {
+                result.outputs = interpreter_->callFunction(
+                    state_, entry_, rt::toRtValues(args),
+                    rt::Interpreter::ExecPhase::QueryOnly);
+            }
+        }
+    } catch (...) {
+        // The unwind left timing scopes (and any fused window) open;
+        // roll back to a servable between-queries state.
+        if (persistent_) {
+            frame_.trace = support::SpanContext{};
+            device_->abortQueryWindow();
+        }
+        if (col) {
+            // A fault mid-replay may already have recorded children
+            // under this execute span (the plan's RAII "plan-replay"
+            // span fires during unwinding); record the execute span
+            // itself so the trace stays parent-resolvable.
+            double now = col->nowUs();
+            record_span("execute", execSpan, e0, now, nullptr);
+            if (own_root)
+                ServingRecorder::recordRoot(root, e0, now);
+        }
+        throw;
+    }
+    double e1 = col ? col->nowUs() : 0.0;
+    if (persistent_) {
+        // Merge stage: render the window into the report.
+        result.perf = device_->report();
+        result.perf.queriesServed = 1;
+    }
+    if (col) {
+        double m1 = col->nowUs();
+        record_span("execute", execSpan, e0, e1, &result.perf);
+        record_span("merge", col->newSpanId(), e1, m1, nullptr);
+        if (own_root)
+            ServingRecorder::recordRoot(root, e0, m1);
+    }
+    return result;
+}
+
+FusedBatchResult
+ExecutionSession::serveFusedChunk(
+    const std::vector<std::vector<rt::BufferPtr>> &queries,
+    std::size_t begin, std::size_t end,
+    const std::vector<support::SpanContext> *ctxs)
+{
+    C4CAM_CHECK(begin < end && end <= queries.size(),
+                "fused chunk [" << begin << ", " << end
+                << ") out of range for " << queries.size() << " queries");
+    std::size_t n = end - begin;
+    FusedBatchResult batch;
+    batch.results.reserve(n);
+
+    if (!persistent_) {
+        // Non-persistent fallback (host-only kernels, or device
+        // kernels without phase markers): no programmed device to
+        // open a fused window on; synthesize the fused accounting
+        // from the per-query reports. Setup was re-paid per query, so
+        // the fused report carries the summed setup, not this
+        // session's (empty) one-time setup.
+        for (std::size_t i = begin; i < end; ++i)
+            batch.results.push_back(
+                serve(queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
+        batch.fused.k = static_cast<std::int64_t>(n);
+        for (const auto &r : batch.results)
+            batch.fused.addQueryReport(r.perf);
+        batch.fusedReport =
+            batch.fused.toReport(nonPersistentSetupTotal(batch.results));
+        return batch;
+    }
+
+    device_->beginFusedWindow(static_cast<int>(n));
+    try {
+        for (std::size_t i = begin; i < end; ++i)
+            batch.results.push_back(
+                serve(queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
+        batch.fused = device_->endFusedWindow();
+    } catch (...) {
+        // The partial fused accounting is meaningless: discard it
+        // with the query window (a no-op repeat when serve() already
+        // rolled the device back) so the session stays servable.
+        device_->abortQueryWindow();
+        throw;
+    }
+    batch.fusedReport = batch.fused.toReport(setupReport_);
+    return batch;
 }
 
 ExecutionResult
 ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
 {
     validateKernelArgs(entryBody_, entry_, args);
-
-    // Tracing is an id handout plus four clock reads per query when a
-    // collector is installed, and three predictable null checks when
-    // not -- it never touches the device or the result, so outputs and
-    // PerfReports stay bit-identical either way.
-    support::TraceCollector *col = trace_;
-    std::uint64_t queryId = 0, rootSpan = 0, execSpan = 0;
-    double t0 = 0.0;
-    if (col) {
-        queryId = col->newQueryId();
-        rootSpan = col->newSpanId();
-        execSpan = col->newSpanId();
-        t0 = col->nowUs();
-    }
-
-    ExecutionResult result;
-    if (!persistent_) {
-        result = runNonPersistent(args);
-    } else {
-        // Reset the query accounting window so this report's query
-        // fields cover exactly this call (and match a single-shot run
-        // bit-for-bit).
-        device_->beginQueryWindow();
-        if (plan_) {
-            if (col)
-                frame_.trace =
-                    support::SpanContext{col, traceId_, queryId, execSpan};
-            result.outputs =
-                plan_->run(frame_, device_.get(), rt::toRtValues(args),
-                           rt::ExecutionPlan::ExecPhase::QueryOnly);
-            if (col)
-                frame_.trace = support::SpanContext{};
-        } else {
-            result.outputs = interpreter_->callFunction(
-                state_, entry_, rt::toRtValues(args),
-                rt::Interpreter::ExecPhase::QueryOnly);
-        }
-    }
-    double e1 = col ? col->nowUs() : 0.0;
-    if (persistent_) {
-        // Merge stage: render the window into the report and fold it
-        // into the session aggregate.
-        result.perf = device_->report();
-        result.perf.queriesServed = 1;
-        accumulate(result.perf);
-        ++queriesServed_;
-    }
-    if (col) {
-        double m1 = col->nowUs();
-        support::TraceEvent exec;
-        exec.name = "execute";
-        exec.traceId = traceId_;
-        exec.queryId = queryId;
-        exec.spanId = execSpan;
-        exec.parentSpanId = rootSpan;
-        exec.startUs = t0;
-        exec.durUs = e1 - t0;
-        sim::attachWindowBreakdown(exec, result.perf);
-        col->record(exec);
-
-        support::TraceEvent merge;
-        merge.name = "merge";
-        merge.traceId = traceId_;
-        merge.queryId = queryId;
-        merge.spanId = col->newSpanId();
-        merge.parentSpanId = rootSpan;
-        merge.startUs = e1;
-        merge.durUs = m1 - e1;
-        col->record(merge);
-
-        support::TraceEvent root;
-        root.name = "query";
-        root.traceId = traceId_;
-        root.queryId = queryId;
-        root.spanId = rootSpan;
-        root.startUs = t0;
-        root.durUs = m1 - t0;
-        col->record(root);
-    }
+    Clock::time_point start = Clock::now();
+    ExecutionResult result = serve(args);
+    recorder_->record(result.perf, start, Clock::now());
     return result;
-}
-
-ExecutionResult
-ExecutionSession::runNonPersistent(const std::vector<rt::BufferPtr> &args)
-{
-    ExecutionResult result =
-        runKernelOnce(*module_, entry_, options_, args, plan_.get());
-    accumulate(result.perf);
-    ++queriesServed_;
-    return result;
-}
-
-void
-ExecutionSession::accumulate(const sim::PerfReport &perf)
-{
-    if (persistent_) {
-        aggregate_.addQueryWindow(perf);
-    } else {
-        // Every non-persistent call pays setup again; surface that in
-        // the aggregate so amortization reflects reality.
-        aggregate_.addFullRun(perf);
-    }
 }
 
 std::vector<ExecutionResult>
@@ -201,48 +266,10 @@ ExecutionSession::runFusedBatch(
     // the fused window opens, not leave the device mid-batch.
     for (const auto &args : queries)
         validateKernelArgs(entryBody_, entry_, args);
-
-    FusedBatchResult batch;
-    batch.results.reserve(queries.size());
-
-    if (!persistent_) {
-        // Non-persistent fallback (host-only kernels, or device
-        // kernels without phase markers): no programmed device to
-        // open a fused window on; synthesize the fused accounting
-        // from the per-query reports. Setup was re-paid per query, so
-        // the fused report carries the summed setup, not this
-        // session's (empty) one-time setup.
-        for (const auto &args : queries)
-            batch.results.push_back(runQuery(args));
-        batch.fused.k = static_cast<std::int64_t>(queries.size());
-        for (const auto &r : batch.results)
-            batch.fused.addQueryReport(r.perf);
-        batch.fusedReport =
-            batch.fused.toReport(nonPersistentSetupTotal(batch.results));
-        return batch;
-    }
-
-    device_->beginFusedWindow(static_cast<int>(queries.size()));
-    try {
-        for (const auto &args : queries)
-            batch.results.push_back(runQuery(args));
-    } catch (...) {
-        // A failed query leaves the partial fused accounting
-        // meaningless; discard it so the session stays servable.
-        device_->abortFusedWindow();
-        throw;
-    }
-    batch.fused = device_->endFusedWindow();
-    batch.fusedReport = batch.fused.toReport(setupReport_);
+    Clock::time_point start = Clock::now();
+    FusedBatchResult batch = serveFusedChunk(queries, 0, queries.size());
+    recorder_->recordChunk(batch.results, start, Clock::now());
     return batch;
-}
-
-sim::PerfReport
-ExecutionSession::aggregateReport() const
-{
-    sim::PerfReport report = aggregate_;
-    report.queriesServed = queriesServed_;
-    return report;
 }
 
 } // namespace c4cam::core

@@ -36,6 +36,15 @@
  *    and sets queriesServed, so avgQueryLatencyNs() /
  *    amortizedLatencyNs() describe the batch.
  *
+ * A session is also the serving tier's one device primitive: serve()
+ * and serveFusedChunk() run a query (or a fused chunk) on the
+ * programmed device without validating or recording it, and clone()
+ * forks a programmed replica. ServingEngine pools clones; every
+ * serving layer therefore shares this one query path, including its
+ * failure rule: a query that throws (a transient device fault, say)
+ * rolls the device back to a servable between-queries state, so the
+ * next query is served exactly as if the failed one never ran.
+ *
  * The session borrows the kernel's lowered module: the CompiledKernel
  * must outlive (and not be moved while used by) its sessions.
  */
@@ -45,6 +54,7 @@
 #include <vector>
 
 #include "core/Compiler.h"
+#include "core/ServingRecorder.h"
 #include "runtime/Buffer.h"
 #include "runtime/ExecutionPlan.h"
 #include "runtime/Interpreter.h"
@@ -77,7 +87,7 @@ struct FusedBatchResult
  * Setup cost of a *non-persistent* fused batch: every full re-run
  * re-pays setup, so the synthesized fused report must carry the
  * summed setup fields of the per-query reports -- never claim free
- * setup. Shared by the session and engine fallback paths.
+ * setup. Shared by the session and sharded-engine fallback paths.
  */
 sim::PerfReport
 nonPersistentSetupTotal(const std::vector<ExecutionResult> &results);
@@ -119,6 +129,16 @@ class ExecutionSession
     ExecutionSession &operator=(ExecutionSession &&) = default;
 
     /**
+     * Fork a programmed replica: a CamDevice::cloneProgrammed() copy
+     * of the device plus a copy of the post-setup slot frame (or a
+     * forked interpreter state in tree-walk mode). The clone serves
+     * bit-identically to this session, pays no simulated setup of its
+     * own and starts with a setup-only aggregate and tracing off.
+     * Call between queries.
+     */
+    ExecutionSession clone() const;
+
+    /**
      * Serve one query batch: re-enters only the search/read/merge
      * portion of the kernel. @p args must match the function signature;
      * the stored-data argument is ignored by the query body (the
@@ -132,27 +152,61 @@ class ExecutionSession
 
     /**
      * Serve @p queries as ONE fused multi-query device pass: the
-     * device opens a fused accounting window over the K queries
-     * (CamDevice::beginFusedWindow) and amortizes the drive/setup
-     * attribution across them. Each query still runs in its own query
-     * window and outputs are always bit-identical to serial runQuery()
-     * calls. What the accounting means depends on
+     * device opens a fused accounting window over the K queries and
+     * amortizes the drive/setup attribution across them. Each query
+     * still runs in its own query window and outputs are always
+     * bit-identical to serial runQuery() calls. What the accounting
+     * means depends on
      * CompilerOptions::fusionModel: under ExactSerial (default) the
      * per-query reports match serial serving bit for bit and the fused
      * totals equal their sum; under TrueFused the pass charges each
      * subarray's precharge/drive once, so the totals come in strictly
      * below the serial sum. Host-only sessions synthesize the fused
      * accounting from the per-query reports (no device pass to fuse,
-     * so TrueFused changes nothing there).
+     * so TrueFused changes nothing there). The batch is recorded only
+     * when every query succeeded: a failed batch leaves
+     * queriesServed() and aggregateReport() untouched.
      */
     FusedBatchResult
     runFusedBatch(const std::vector<std::vector<rt::BufferPtr>> &queries);
 
+    /// @name Device primitive (no validation, no recording)
+    /// @{
+    /**
+     * Serve one query on the programmed device: open a fresh query
+     * window, replay the plan (or walk the IR), render the window's
+     * PerfReport and record "execute"/"merge" spans under
+     * @p ctx->parentSpanId. With a null @p ctx and session tracing on,
+     * the query gets its own "query" root span instead. Does NOT
+     * validate @p args (callers validated at admission) and does not
+     * count the query in this session's aggregate -- the caller's
+     * ServingRecorder does. On any throw the device is rolled back to
+     * a servable between-queries state before the exception
+     * propagates.
+     */
+    ExecutionResult serve(const std::vector<rt::BufferPtr> &args,
+                          const support::SpanContext *ctx = nullptr);
+
+    /**
+     * Serve queries [@p begin, @p end) of @p queries inside one fused
+     * device window (see runFusedBatch() for the accounting), each
+     * through serve() with its context from @p ctxs (one per query of
+     * the chunk; null = as serve() with a null context). Same contract
+     * as serve(): no validation, no recording, and a throw aborts the
+     * fused window and rolls the device back.
+     */
+    FusedBatchResult serveFusedChunk(
+        const std::vector<std::vector<rt::BufferPtr>> &queries,
+        std::size_t begin, std::size_t end,
+        const std::vector<support::SpanContext> *ctxs = nullptr);
+    /// @}
+
     /**
      * Validate @p args against the kernel signature without serving
      * (throws CompilerError on mismatch) -- the admission-time check
-     * runQuery() repeats. Lets adapters (SingleSessionBackend) fail
-     * malformed queries on the submitter's stack.
+     * runQuery() repeats. Adapters that serve through the serve()
+     * primitive (ServingEngine, and through it the async front-end)
+     * call this so malformed queries fail on the submitter's stack.
      */
     void
     validateQuery(const std::vector<rt::BufferPtr> &args) const
@@ -165,13 +219,15 @@ class ExecutionSession
 
     /**
      * Cumulative report: setup once + query fields summed over all
-     * served queries, with queriesServed set for the per-query and
-     * amortized aggregates.
+     * queries served through runQuery()/runBatch()/runFusedBatch(),
+     * with queriesServed set for the per-query and amortized
+     * aggregates.
      */
-    sim::PerfReport aggregateReport() const;
+    sim::PerfReport aggregateReport() const { return recorder_->aggregate(); }
 
-    /** Number of runQuery() calls served so far. */
-    std::int64_t queriesServed() const { return queriesServed_; }
+    /** Number of queries served through runQuery()/runBatch()/
+     *  runFusedBatch() so far. */
+    std::int64_t queriesServed() const { return recorder_->queriesServed(); }
 
     /**
      * True when the device stays programmed across queries (cam-mapped
@@ -193,20 +249,25 @@ class ExecutionSession
      * PerfReports (locked by DifferentialFuzzTest running traced).
      * Call between queries, not concurrently with runQuery().
      */
-    void enableTracing(support::TraceCollector *collector);
+    void enableTracing(support::TraceCollector *collector)
+    {
+        recorder_->enableTracing(collector);
+    }
 
     /** The active trace collector (nullptr when tracing is off). */
-    support::TraceCollector *traceCollector() const { return trace_; }
+    support::TraceCollector *traceCollector() const
+    {
+        return recorder_->traceCollector();
+    }
 
     /** The simulated device; nullptr in host-only sessions. */
     sim::CamDevice *device() { return device_.get(); }
 
   private:
-    ExecutionResult runNonPersistent(const std::vector<rt::BufferPtr> &args);
-    void accumulate(const sim::PerfReport &perf);
+    ExecutionSession() = default; ///< clone() fills in the fields
 
     std::shared_ptr<ir::Context> ctx_;
-    ir::Module *module_;
+    ir::Module *module_ = nullptr;
     CompilerOptions options_;
     std::string entry_;
     /** Entry block of the kernel function (cached: the module is
@@ -214,8 +275,9 @@ class ExecutionSession
     ir::Block *entryBody_ = nullptr;
 
     std::unique_ptr<sim::CamDevice> device_;
-    /** Immutable view over the module (shareable across threads). */
-    std::unique_ptr<rt::Interpreter> interpreter_;
+    /** Immutable view over the module, shared with clones (null in
+     *  plan mode). */
+    std::shared_ptr<const rt::Interpreter> interpreter_;
     /** This session's per-execution state (SSA env from the setup run). */
     rt::ExecutionState state_;
     /** Compiled instruction stream (null in tree-walk mode). */
@@ -225,14 +287,9 @@ class ExecutionSession
 
     bool persistent_ = false;
     sim::PerfReport setupReport_;
-    sim::PerfReport aggregate_;
-    std::int64_t queriesServed_ = 0;
-
-    /// @name Tracing (off unless enableTracing() installed a collector)
-    /// @{
-    support::TraceCollector *trace_ = nullptr;
-    std::uint64_t traceId_ = 0;
-    /// @}
+    /** Aggregate, counters and root spans of runQuery()/runBatch()/
+     *  runFusedBatch() (heap-held so the session stays movable). */
+    std::unique_ptr<ServingRecorder> recorder_;
 };
 
 } // namespace c4cam::core

@@ -12,15 +12,18 @@
  * replica pool over one programmed device). QueryBackend replaces that
  * coupling with an interface: anything that can validate a query,
  * serve it (optionally as part of a fused chunk) and account for it
- * can sit behind the bounded queue. Three implementations exist:
+ * can sit behind the bounded queue. Two implementations exist:
  *
- *  - ServingEngine: N cloned replicas of one programmed device
- *    (core/ServingEngine.h);
- *  - SingleSessionBackend: one ExecutionSession behind a mutex --
- *    the minimal single-device backend (core/SessionBackend.h);
+ *  - ServingEngine: N cloned ExecutionSessions of one programmed
+ *    device behind a free-list; with N = 1 it is the minimal
+ *    single-device backend (core/ServingEngine.h);
  *  - ShardedEngine: the stored-vector axis partitioned across M
  *    programmed devices with scatter-gather top-k merge
  *    (core/ShardedEngine.h).
+ *
+ * Both serve every device query through the one primitive,
+ * ExecutionSession::serve(), and keep their statistics and root
+ * spans in a ServingRecorder.
  *
  * Contract highlights:
  *  - serve()/serveFusedChunk() may assume validateQuery() passed for
@@ -41,59 +44,12 @@
 #include <vector>
 
 #include "core/ExecutionSession.h"
-#include "core/PlanCache.h"
+#include "core/ServingRecorder.h"
 #include "runtime/Buffer.h"
 #include "sim/Timing.h"
 #include "support/Trace.h"
 
 namespace c4cam::core {
-
-/** Aggregate serving metrics over all queries served so far. */
-struct ServingStats
-{
-    std::int64_t queriesServed = 0;
-
-    /** Wall-clock seconds from the first submission to the last
-     *  completion (0 when nothing was served). */
-    double wallSeconds = 0.0;
-
-    /** Host throughput: queriesServed / wallSeconds. */
-    double qps = 0.0;
-
-    /// @name Host wall-clock latency percentiles per query (us),
-    /// over a bounded window of the most recent queries (a long-lived
-    /// engine keeps no unbounded per-query history)
-    /// @{
-    double p50LatencyUs = 0.0;
-    double p95LatencyUs = 0.0;
-    /// @}
-
-    /// @name Fault-recovery activity (0 on fault-free runs)
-    /// @{
-    /** Transient-fault re-serve attempts (RetryPolicy). Includes the
-     *  async fused-chunk fallback's individual re-serves. */
-    std::int64_t retries = 0;
-    /** Queries shed at dispatch because their deadline had already
-     *  passed while queued (AsyncServingEngine deadlines). */
-    std::int64_t deadlineSheds = 0;
-    /** Shard quarantine transitions (ShardedEngine circuit breaker);
-     *  counts every healthy->quarantined edge including re-trips
-     *  after a failed probe. */
-    std::int64_t quarantines = 0;
-    /** Queries answered from surviving shards only (allowDegraded),
-     *  marked partial with a < 1 coverage fraction. */
-    std::int64_t degradedServes = 0;
-    /// @}
-
-    /** Simulated totals: setup once + query windows summed, with
-     *  queriesServed set (same accounting as a serial session). */
-    sim::PerfReport aggregate;
-
-    /** Process-wide PlanCache counters at stats() time (shared across
-     *  backends -- replicas, shards and sessions all compile through
-     *  the same cache; see core/PlanCache.h). */
-    PlanCacheStats planCache;
-};
 
 /**
  * A synchronous query-serving backend the async front-end can drive.

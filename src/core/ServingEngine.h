@@ -7,9 +7,9 @@
  *
  * An ExecutionSession serves queries one at a time on one programmed
  * device. A ServingEngine scales that out across host threads: it
- * programs one device (paying setup once), replicates it with
- * CamDevice::cloneProgrammed() into N independent replicas, and drives
- * them behind a work queue with one worker thread per replica.
+ * takes one programmed session (setup paid once), forks it with
+ * ExecutionSession::clone() into N replicas, and drives them from a
+ * free-list behind a work queue with one worker thread per replica.
  *
  * @code
  *   core::CompiledKernel kernel = compiler.compileTorchScript(src);
@@ -23,50 +23,44 @@
  * Accounting guarantees (locked by tests and bench/serving_throughput):
  *  - every served query's PerfReport is bit-identical to what a serial
  *    ExecutionSession::runQuery() reports for the same input: replicas
- *    are exact copies, each query runs on exactly one replica inside a
- *    fresh query window, and the simulated cost model is deterministic;
+ *    are exact clones, each query runs on exactly one replica through
+ *    the same ExecutionSession::serve() primitive, and the simulated
+ *    cost model is deterministic;
  *  - the aggregate report pays setup once (replication is free host
  *    work, not simulated device work) and sums the query windows over
  *    all served queries, exactly like a serial session.
  *
- * Threading model: the compiled module and the Interpreter over it are
- * shared read-only; each replica owns its CamDevice and ExecutionState
- * and serves at most one query at a time (enforced by the free-list).
- * Queries must not alias writable buffers across concurrent
- * submissions (inputs are read-only; outputs are freshly allocated per
- * query).
+ * Threading model: the compiled module and plan are shared read-only;
+ * each replica session owns its CamDevice and slot frame and serves at
+ * most one query at a time (enforced by the free-list). Queries must
+ * not alias writable buffers across concurrent submissions (inputs are
+ * read-only; outputs are freshly allocated per query).
  */
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "core/Compiler.h"
 #include "core/ExecutionSession.h"
 #include "core/QueryBackend.h"
 #include "core/RetryPolicy.h"
+#include "core/ServingRecorder.h"
 #include "runtime/Buffer.h"
-#include "runtime/ExecutionPlan.h"
-#include "runtime/Interpreter.h"
 #include "sim/CamDevice.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 namespace c4cam::core {
 
 /**
- * N programmed device replicas behind a work queue.
+ * N cloned ExecutionSessions behind a work queue.
  *
- * For host-only kernels (no cam ops, nothing to replicate) the engine
- * transparently falls back to independent full executions per query --
- * still parallel (runKernelOnce builds per-call state), just without
- * persistent devices; persistent() tells the modes apart.
+ * For host-only kernels (no cam ops, nothing programmed) the clones
+ * run independent full executions per query -- still parallel, just
+ * without persistent devices; persistent() tells the modes apart.
  *
  * The engine borrows the kernel's lowered module: the CompiledKernel
  * must outlive (and not be moved while used by) its engines. Prefer
@@ -76,16 +70,11 @@ class ServingEngine : public QueryBackend
 {
   public:
     /**
-     * @p plan is the kernel's compiled instruction stream; when null
-     * (and tree-walk execution is not forced) the engine compiles its
-     * own. Every replica replays the shared plan over its own slot
-     * frame.
+     * Serve through @p master (already programmed; its own tracing is
+     * turned off -- the engine records spans) plus @p replicas - 1
+     * clones of it.
      */
-    ServingEngine(std::shared_ptr<ir::Context> ctx, ir::Module &module,
-                  CompilerOptions options, std::string entry,
-                  const std::vector<rt::BufferPtr> &setup_args,
-                  int replicas,
-                  std::shared_ptr<const rt::ExecutionPlan> plan = nullptr);
+    ServingEngine(ExecutionSession master, int replicas);
 
     /** Waits for all in-flight queries, then tears down the pool. */
     ~ServingEngine() = default;
@@ -115,7 +104,7 @@ class ServingEngine : public QueryBackend
      * Serve @p queries in fused multi-query passes of width @p k: the
      * stream is chunked into groups of (up to) k queries, each group
      * driven through one replica inside one fused device window
-     * (CamDevice::beginFusedWindow). Chunks run concurrently across
+     * (ExecutionSession::serveFusedChunk). Chunks run concurrently across
      * replicas, capped by @p threads like runBatch. @return one
      * FusedBatchResult per chunk, in stream order; per-query results
      * and reports stay bit-identical to serial serving, and each
@@ -136,11 +125,12 @@ class ServingEngine : public QueryBackend
     void
     validateQuery(const std::vector<rt::BufferPtr> &args) const override
     {
-        validateKernelArgs(entryBody_, entry_, args);
+        replicas_.front()->validateQuery(args);
     }
 
     /**
-     * Acquire a replica, serve one query, record stats, release. Does
+     * Acquire a replica, serve one query on it
+     * (ExecutionSession::serve), record stats, release. Does
      * NOT revalidate @p args (the QueryBackend contract: validation
      * happened at admission; re-walking the kernel signature per
      * dispatch would be pure overhead on the hot path). With engine
@@ -153,7 +143,8 @@ class ServingEngine : public QueryBackend
 
     /** Serve one fused chunk on a replica acquired for the chunk.
      *  @p ctxs, when non-null, holds one per-query tracing context for
-     *  queries [begin, end). Like serve(), does not revalidate. */
+     *  queries [begin, end). Like serve(), does not revalidate; a
+     *  failed chunk is not retried and records nothing in stats(). */
     FusedBatchResult serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
         std::size_t begin, std::size_t end,
@@ -172,11 +163,18 @@ class ServingEngine : public QueryBackend
      * the collector before serving starts. Tracing never perturbs
      * outputs or PerfReports (locked by DifferentialFuzzTest).
      */
-    void enableTracing(support::TraceCollector *collector,
-                       std::uint64_t trace_id = 0) override;
+    void
+    enableTracing(support::TraceCollector *collector,
+                  std::uint64_t trace_id = 0) override
+    {
+        recorder_.enableTracing(collector, trace_id);
+    }
 
     /** The active trace collector (nullptr when tracing is off). */
-    support::TraceCollector *traceCollector() const { return trace_; }
+    support::TraceCollector *traceCollector() const
+    {
+        return recorder_.traceCollector();
+    }
 
     /// @name Fault tolerance
     /// @{
@@ -184,9 +182,10 @@ class ServingEngine : public QueryBackend
      * Bounded-retry policy for transient device faults: serve() will
      * re-attempt a query up to policy.maxAttempts times total when a
      * sim::TransientFault unwinds out of execution, with deterministic
-     * exponential backoff between attempts. The failed replica's query
-     * window is rolled back before the retry, so a recovered query's
-     * output and PerfReport are bit-identical to a fault-free run.
+     * exponential backoff between attempts. The failed replica rolled
+     * its query window back (ExecutionSession::serve), so a recovered
+     * query's output and PerfReport are bit-identical to a fault-free
+     * run.
      * Permanent c4cam::ExecutionErrors are never retried. Install
      * before serving starts.
      */
@@ -215,70 +214,36 @@ class ServingEngine : public QueryBackend
     /** One-time setup cost of the master replica. */
     const sim::PerfReport &setupReport() const override
     {
-        return setupReport_;
+        return replicas_.front()->setupReport();
     }
 
-    bool persistent() const override { return persistent_; }
+    bool persistent() const override
+    {
+        return replicas_.front()->persistent();
+    }
+
     int numReplicas() const { return static_cast<int>(replicas_.size()); }
 
     /** One serve() makes progress per replica. */
     int concurrency() const override { return numReplicas(); }
 
-    std::int64_t queriesServed() const override;
+    std::int64_t queriesServed() const override
+    {
+        return recorder_.queriesServed();
+    }
 
   private:
-    /** One programmed device copy + the post-setup execution state
-     *  (the interpreter's SSA env or the plan's slot frame). */
-    struct Replica
-    {
-        std::unique_ptr<sim::CamDevice> device;
-        rt::ExecutionState state;
-        rt::PlanFrame frame;
-    };
+    /** A replica taken off the free-list; returned on destruction. */
+    class Lease;
 
-    Replica *acquireReplica();
-    void releaseReplica(Replica *replica);
-
-    /** Serve one query on @p replica (fresh window, QueryOnly).
-     *  @p ctx, when tracing, parents this query's execute/merge spans
-     *  (the async front-end points it at its dispatch span). */
-    ExecutionResult serveOn(Replica &replica,
-                            const std::vector<rt::BufferPtr> &args,
-                            const support::SpanContext *ctx = nullptr);
-
-    void recordServed(const sim::PerfReport &perf, double latency_s,
-                      std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point done);
-
-    ir::Module *module_;
-    CompilerOptions options_;
-    std::string entry_;
-    ir::Block *entryBody_ = nullptr;
-    std::shared_ptr<ir::Context> ctx_;
-
-    bool persistent_ = false;
-    sim::PerfReport setupReport_;
-
-    /// @name Tracing (off unless enableTracing() installed a collector)
-    /// @{
-    support::TraceCollector *trace_ = nullptr;
-    std::uint64_t traceId_ = 0;
-    /// @}
-
-    /** Shared read-only executor over the module. */
-    std::unique_ptr<rt::Interpreter> interpreter_;
-
-    /** Shared compiled instruction stream (null in tree-walk mode). */
-    std::shared_ptr<const rt::ExecutionPlan> plan_;
-
-    /** Replica storage (index 0 is the master that ran setup). */
-    std::vector<std::unique_ptr<Replica>> replicas_;
+    /** Cloned sessions (index 0 is the master that ran setup). */
+    std::vector<std::unique_ptr<ExecutionSession>> replicas_;
 
     /// @name Free-list of idle replicas
     /// @{
-    mutable std::mutex replicaMutex_;
+    std::mutex replicaMutex_;
     std::condition_variable replicaFree_;
-    std::vector<Replica *> freeReplicas_;
+    std::vector<ExecutionSession *> freeReplicas_;
     /// @}
 
     /// @name Fault tolerance
@@ -288,19 +253,8 @@ class ServingEngine : public QueryBackend
     std::atomic<std::int64_t> retries_{0};
     /// @}
 
-    /// @name Serving statistics (guarded by statsMutex_)
-    /// @{
-    mutable std::mutex statsMutex_;
-    sim::PerfReport aggregate_;
-    std::int64_t queriesServed_ = 0;
-    /** Bounded window over the most recent queries: stats() sorts it
-     *  per call and a serving engine can live for millions of
-     *  queries. */
-    support::LatencyWindow latenciesUs_;
-    bool anyServed_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastDone_;
-    /// @}
+    /** Aggregate, counters and the engine's own root spans. */
+    ServingRecorder recorder_;
 
     /** The pool backing submit()/runBatch()/runFusedBatch(), created
      *  lazily on first use: the async front-end dispatches through

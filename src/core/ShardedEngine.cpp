@@ -168,7 +168,7 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
     }
     setupReport_ = sim::aggregateShardReports(setups);
     persistent_ = shards_.front().engine->persistent();
-    aggregate_ = setupReport_;
+    recorder_ = std::make_unique<ServingRecorder>(setupReport_, persistent_);
 
     support::ThreadPoolOptions pool_options;
     pool_options.threads = shards_.size() *
@@ -182,17 +182,6 @@ void
 ShardedEngine::validateQuery(const std::vector<rt::BufferPtr> &args) const
 {
     validateKernelArgs(entryBody_, entry_, args);
-}
-
-void
-ShardedEngine::enableTracing(support::TraceCollector *collector,
-                             std::uint64_t trace_id)
-{
-    trace_ = collector;
-    if (!collector)
-        traceId_ = 0;
-    else
-        traceId_ = trace_id != 0 ? trace_id : collector->newTraceId();
 }
 
 std::vector<rt::BufferPtr>
@@ -297,26 +286,6 @@ ShardedEngine::mergeShardResults(
                                 : 0.0;
     }
     return out;
-}
-
-void
-ShardedEngine::recordServed(const sim::PerfReport &perf,
-                            Clock::time_point start,
-                            Clock::time_point done)
-{
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    if (persistent_)
-        aggregate_.addQueryWindow(perf);
-    else
-        aggregate_.addFullRun(perf);
-    ++queriesServed_;
-    latenciesUs_.record(
-        std::chrono::duration<double, std::micro>(done - start).count());
-    if (!anyServed_ || start < firstSubmit_)
-        firstSubmit_ = start;
-    if (!anyServed_ || done > lastDone_)
-        lastDone_ = done;
-    anyServed_ = true;
 }
 
 ShardedEngine::ShardHealth
@@ -433,16 +402,8 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
     // a short argument vector).
     validateQuery(args);
 
-    support::SpanContext local;
-    bool own_root = false;
-    if (!ctx && trace_) {
-        local.collector = trace_;
-        local.traceId = traceId_;
-        local.queryId = trace_->newQueryId();
-        local.parentSpanId = trace_->newSpanId(); // becomes the root id
-        ctx = &local;
-        own_root = true;
-    }
+    support::SpanContext root;
+    bool own_root = recorder_->openRoot(ctx, root);
     support::TraceCollector *col =
         ctx && ctx->collector ? ctx->collector : nullptr;
     std::uint64_t trace_id = col ? ctx->traceId : 0;
@@ -491,16 +452,8 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
         shard_merge.durUs = u2 - u1;
         col->record(shard_merge);
 
-        if (own_root) {
-            support::TraceEvent root;
-            root.name = "query";
-            root.traceId = trace_id;
-            root.queryId = query_id;
-            root.spanId = ctx->parentSpanId;
-            root.startUs = u0;
-            root.durUs = u2 - u0;
-            col->record(root);
-        }
+        if (own_root)
+            ServingRecorder::recordRoot(root, u0, u2);
     };
 
     Clock::time_point t0 = Clock::now();
@@ -550,7 +503,7 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
 
     ExecutionResult merged = mergeShardResults(shard_results, surviving);
     Clock::time_point t2 = Clock::now();
-    recordServed(merged.perf, t0, t2);
+    recorder_->record(merged.perf, t0, t2);
     if (merged.partial) {
         {
             std::lock_guard<std::mutex> lock(healthMutex_);
@@ -590,17 +543,8 @@ ShardedEngine::serveFusedChunk(
     for (std::size_t i = 0; i < n; ++i)
         validateQuery(queries[begin + i]);
 
-    std::vector<support::SpanContext> local_ctxs;
-    bool own_roots = false;
-    if (!ctxs && trace_) {
-        local_ctxs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            local_ctxs.push_back(support::SpanContext{
-                trace_, traceId_, trace_->newQueryId(),
-                trace_->newSpanId()});
-        ctxs = &local_ctxs;
-        own_roots = true;
-    }
+    std::vector<support::SpanContext> roots;
+    bool own_roots = recorder_->openRoots(ctxs, roots, n);
     support::TraceCollector *col =
         ctxs && !ctxs->empty() ? (*ctxs)[0].collector : nullptr;
     std::vector<std::uint64_t> scatter_spans(n, 0);
@@ -685,17 +629,9 @@ ShardedEngine::serveFusedChunk(
                 abort_span.durUs = u1 - u0;
                 abort_span.fusedK = static_cast<std::int64_t>(n);
                 col->record(abort_span);
-                if (own_roots) {
-                    support::TraceEvent root;
-                    root.name = "query";
-                    root.traceId = (*ctxs)[i].traceId;
-                    root.queryId = (*ctxs)[i].queryId;
-                    root.spanId = (*ctxs)[i].parentSpanId;
-                    root.startUs = u0;
-                    root.durUs = u1 - u0;
-                    root.fusedK = static_cast<std::int64_t>(n);
-                    col->record(root);
-                }
+                if (own_roots)
+                    ServingRecorder::recordRoot(
+                        (*ctxs)[i], u0, u1, static_cast<std::int64_t>(n));
             }
         }
         std::rethrow_exception(first_error);
@@ -724,8 +660,7 @@ ShardedEngine::serveFusedChunk(
                     : nonPersistentSetupTotal(batch.results));
     Clock::time_point t2 = Clock::now();
 
-    for (std::size_t i = 0; i < n; ++i)
-        recordServed(batch.results[i].perf, t0, t2);
+    recorder_->recordChunk(batch.results, t0, t2);
 
     if (col) {
         double u0 = col->toUs(t0);
@@ -753,49 +688,18 @@ ShardedEngine::serveFusedChunk(
             shard_merge.durUs = u2 - u1;
             col->record(shard_merge);
 
-            if (own_roots) {
-                support::TraceEvent root;
-                root.name = "query";
-                root.traceId = (*ctxs)[i].traceId;
-                root.queryId = (*ctxs)[i].queryId;
-                root.spanId = (*ctxs)[i].parentSpanId;
-                root.startUs = u0;
-                root.durUs = u2 - u0;
-                root.fusedK = static_cast<std::int64_t>(n);
-                col->record(root);
-            }
+            if (own_roots)
+                ServingRecorder::recordRoot(
+                    (*ctxs)[i], u0, u2, static_cast<std::int64_t>(n));
         }
     }
     return batch;
 }
 
-std::int64_t
-ShardedEngine::queriesServed() const
-{
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    return queriesServed_;
-}
-
 ServingStats
 ShardedEngine::stats() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ServingStats stats;
-    stats.queriesServed = queriesServed_;
-    stats.aggregate = aggregate_;
-    stats.aggregate.queriesServed = queriesServed_;
-    if (anyServed_) {
-        stats.wallSeconds =
-            std::chrono::duration<double>(lastDone_ - firstSubmit_)
-                .count();
-        if (stats.wallSeconds > 0.0)
-            stats.qps = static_cast<double>(queriesServed_) /
-                        stats.wallSeconds;
-    }
-    std::vector<double> sorted = latenciesUs_.sorted();
-    stats.p50LatencyUs = support::percentile(sorted, 50.0);
-    stats.p95LatencyUs = support::percentile(sorted, 95.0);
-    stats.planCache = PlanCache::instance().stats();
+    ServingStats stats = recorder_->stats();
     {
         std::lock_guard<std::mutex> health(healthMutex_);
         stats.quarantines = quarantines_;

@@ -57,7 +57,7 @@
 #include "core/QueryBackend.h"
 #include "core/RetryPolicy.h"
 #include "core/ServingEngine.h"
-#include "support/Stats.h"
+#include "core/ServingRecorder.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -178,8 +178,12 @@ class ShardedEngine : public QueryBackend
         std::size_t begin, std::size_t end,
         const std::vector<support::SpanContext> *ctxs = nullptr) override;
 
-    void enableTracing(support::TraceCollector *collector,
-                       std::uint64_t trace_id = 0) override;
+    void
+    enableTracing(support::TraceCollector *collector,
+                  std::uint64_t trace_id = 0) override
+    {
+        recorder_->enableTracing(collector, trace_id);
+    }
 
     ServingStats stats() const override;
 
@@ -195,7 +199,10 @@ class ShardedEngine : public QueryBackend
     /** One serve() makes progress per shard-replica set. */
     int concurrency() const override { return replicasPerShard_; }
 
-    std::int64_t queriesServed() const override;
+    std::int64_t queriesServed() const override
+    {
+        return recorder_->queriesServed();
+    }
 
     int numShards() const { return static_cast<int>(shards_.size()); }
     const ShardPlan &shardPlan() const { return plan_; }
@@ -278,10 +285,6 @@ class ShardedEngine : public QueryBackend
     mergeShardResults(const std::vector<ExecutionResult> &shard_results,
                       const std::vector<std::size_t> &shard_ids) const;
 
-    void recordServed(const sim::PerfReport &perf,
-                      std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point done);
-
     int replicasPerShard_ = 1;
     std::size_t storedArgIndex_ = 1;
     bool allowDegraded_ = false;
@@ -309,22 +312,9 @@ class ShardedEngine : public QueryBackend
     std::int64_t degradedServes_ = 0;  ///< guarded by healthMutex_
     /// @}
 
-    /// @name Tracing (off unless enableTracing() installed a collector)
-    /// @{
-    support::TraceCollector *trace_ = nullptr;
-    std::uint64_t traceId_ = 0;
-    /// @}
-
-    /// @name Serving statistics (guarded by statsMutex_)
-    /// @{
-    mutable std::mutex statsMutex_;
-    sim::PerfReport aggregate_;
-    std::int64_t queriesServed_ = 0;
-    support::LatencyWindow latenciesUs_;
-    bool anyServed_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastDone_;
-    /// @}
+    /** Aggregate of the merged reports, counters and the engine's own
+     *  root spans (built once the shards' setup is known). */
+    std::unique_ptr<ServingRecorder> recorder_;
 
     /** Scatter pool: shards * replicasPerShard workers, so every
      *  replica of every shard can be busy at once. Deadlock-free by

@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -129,12 +130,16 @@ class TraceCollector
 
     /** Convert a caller-taken timestamp to epoch-relative us. All
      *  layers stamp with the same clock, so span intervals built from
-     *  shared time points telescope exactly. */
+     *  shared time points telescope exactly. The result is a whole
+     *  number of 1/1024 us ticks (just under 1 ns): differences and
+     *  sums of such values are exact doubles, so a span's start plus
+     *  its duration lands bit for bit on the next span's start. */
     double
     toUs(std::chrono::steady_clock::time_point tp) const
     {
-        return std::chrono::duration<double, std::micro>(tp - epoch_)
-            .count();
+        double ns =
+            std::chrono::duration<double, std::nano>(tp - epoch_).count();
+        return std::floor(ns * 1.024) / 1024.0;
     }
 
     /** Append one event (one mutex acquisition). */

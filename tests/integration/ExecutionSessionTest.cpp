@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
+#include "sim/FaultInjector.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 
@@ -53,6 +56,44 @@ expectBuffersEqual(const rt::RtValue &a, const rt::RtValue &b)
     ASSERT_TRUE(b.isBuffer());
     EXPECT_EQ(a.asBuffer()->shape(), b.asBuffer()->shape());
     EXPECT_EQ(a.asBuffer()->toVector(), b.asBuffer()->toVector());
+}
+
+/** 64x128 Euclidean kNN (top-5) on 2-bit MCAM subarrays. */
+core::CompiledKernel
+compileKnnKernel(bool tree_walk = false)
+{
+    core::CompilerOptions options;
+    options.treeWalkExecution = tree_walk;
+    options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    options.spec.camType = arch::CamDeviceType::Mcam;
+    options.spec.bitsPerCell = 2;
+    core::Compiler compiler(options);
+    return compiler.compileTorchScript(
+        apps::knnEuclideanSource(1, 64, 128, 5));
+}
+
+/** One scripted transient fault at device-0 search @p search. */
+std::shared_ptr<sim::FaultInjector>
+transientAt(std::int64_t search)
+{
+    sim::FaultSpec spec;
+    sim::FaultRule rule;
+    rule.kind = sim::FaultRule::Kind::Transient;
+    rule.device = 0;
+    rule.atSearch = search;
+    spec.rules.push_back(rule);
+    return std::make_shared<sim::FaultInjector>(spec);
+}
+
+/** Outputs and report JSON of @p served equal @p reference's. */
+void
+expectSameAnswer(const core::ExecutionResult &served,
+                 const core::ExecutionResult &reference)
+{
+    ASSERT_EQ(served.outputs.size(), reference.outputs.size());
+    for (std::size_t i = 0; i < served.outputs.size(); ++i)
+        expectBuffersEqual(served.outputs[i], reference.outputs[i]);
+    EXPECT_EQ(served.perf.toJson().dump(), reference.perf.toJson().dump());
 }
 
 /** Field-by-field exact comparison of two perf reports. */
@@ -292,4 +333,91 @@ TEST(ExecutionSession, EuclideanKernelSessionMatchesSingleShot)
     for (std::size_t i = 0; i < served.outputs.size(); ++i)
         expectBuffersEqual(served.outputs[i], single.outputs[i]);
     expectReportsIdentical(served.perf, single.perf);
+}
+
+TEST(ExecutionSession, ServesAgainAfterAFaultedQuery)
+{
+    // A transient fault mid-replay unwinds with timing scopes open; the
+    // session must roll its device back so the next query is served
+    // exactly like on a session that never saw the fault.
+    auto stored = randomRows(64, 128, 37);
+    core::CompiledKernel kernel = compileKnnKernel();
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<rt::BufferPtr> first{rt::Buffer::fromMatrix({stored[3]}),
+                                     stored_buf};
+    std::vector<rt::BufferPtr> next{rt::Buffer::fromMatrix({stored[9]}),
+                                    stored_buf};
+
+    core::ExecutionSession clean = kernel.createSession(first);
+    core::ExecutionResult reference = clean.runQuery(next);
+
+    core::ExecutionSession session = kernel.createSession(first);
+    session.device()->attachFaultInjector(transientAt(2));
+    EXPECT_THROW(session.runQuery(first), sim::TransientFault);
+    session.device()->attachFaultInjector(nullptr);
+    EXPECT_EQ(session.queriesServed(), 0);
+
+    core::ExecutionResult served = session.runQuery(next);
+    expectSameAnswer(served, reference);
+    EXPECT_EQ(session.aggregateReport().toJson().dump(),
+              clean.aggregateReport().toJson().dump());
+}
+
+TEST(ExecutionSession, ServesAgainAfterAnAbortedFusedBatch)
+{
+    auto stored = randomRows(64, 128, 37);
+    core::CompiledKernel kernel = compileKnnKernel();
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<std::vector<rt::BufferPtr>> batch{
+        {rt::Buffer::fromMatrix({stored[3]}), stored_buf},
+        {rt::Buffer::fromMatrix({stored[4]}), stored_buf}};
+    std::vector<rt::BufferPtr> next{rt::Buffer::fromMatrix({stored[9]}),
+                                    stored_buf};
+
+    core::ExecutionSession clean = kernel.createSession(batch[0]);
+    core::ExecutionResult reference = clean.runQuery(next);
+
+    core::ExecutionSession session = kernel.createSession(batch[0]);
+    session.device()->attachFaultInjector(transientAt(2));
+    EXPECT_THROW(session.runFusedBatch(batch), sim::TransientFault);
+    session.device()->attachFaultInjector(nullptr);
+
+    core::ExecutionResult served = session.runQuery(next);
+    expectSameAnswer(served, reference);
+    EXPECT_EQ(session.aggregateReport().toJson().dump(),
+              clean.aggregateReport().toJson().dump());
+}
+
+TEST(ExecutionSession, CloneServesBitIdentically)
+{
+    auto stored = randomRows(64, 128, 41);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<std::vector<rt::BufferPtr>> batches;
+    for (std::size_t i = 0; i < 6; ++i)
+        batches.push_back(
+            {rt::Buffer::fromMatrix({stored[i * 7]}), stored_buf});
+
+    // Plan replicas copy the slot frame; tree-walk replicas fork the
+    // interpreter state.
+    for (bool tree_walk : {false, true}) {
+        SCOPED_TRACE(tree_walk ? "tree walk" : "plan");
+        core::CompiledKernel kernel = compileKnnKernel(tree_walk);
+        core::ExecutionSession session = kernel.createSession(batches[0]);
+        EXPECT_EQ(session.usesPlan(), !tree_walk);
+        session.runQuery(batches[5]); // the clone must not inherit this
+        core::ExecutionSession clone = session.clone();
+
+        ASSERT_TRUE(clone.persistent());
+        EXPECT_NE(clone.device(), session.device());
+        EXPECT_EQ(clone.queriesServed(), 0);
+        EXPECT_EQ(clone.aggregateReport().toJson().dump(),
+                  clone.setupReport().toJson().dump());
+        EXPECT_EQ(clone.setupReport().toJson().dump(),
+                  session.setupReport().toJson().dump());
+
+        for (const auto &args : batches)
+            expectSameAnswer(clone.runQuery(args), session.runQuery(args));
+        EXPECT_EQ(clone.queriesServed(), 6);
+        EXPECT_EQ(session.queriesServed(), 7);
+    }
 }

@@ -408,6 +408,50 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
     EXPECT_EQ(engine->queriesServed(), 4);
 }
 
+TEST(FusedBatch, AbortedSessionBatchRecordsNothing)
+{
+    // A fused batch is all or nothing: when query 2 of 3 faults, the
+    // caller gets no results, so the session must not count query 1
+    // either -- a retried batch would otherwise count it twice.
+    auto stored = randomRows(8, 64, 79);
+    core::CompiledKernel kernel = compileDotKernel(8, 64);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<std::vector<rt::BufferPtr>> queries;
+    for (int i = 0; i < 3; ++i)
+        queries.push_back(
+            {rt::Buffer::fromMatrix({stored[static_cast<std::size_t>(
+                 i)]}),
+             stored_buf});
+
+    core::ExecutionSession serial = kernel.createSession(queries[0]);
+    std::int64_t searches_per_query =
+        serial.runQuery(queries[0]).perf.searches;
+    ASSERT_GT(searches_per_query, 0);
+
+    sim::FaultSpec spec;
+    sim::FaultRule rule;
+    rule.kind = sim::FaultRule::Kind::Transient;
+    rule.device = 0;
+    rule.atSearch = searches_per_query + 1; // first search of query 2
+    spec.rules.push_back(rule);
+
+    core::ExecutionSession session = kernel.createSession(queries[0]);
+    session.device()->attachFaultInjector(
+        std::make_shared<sim::FaultInjector>(spec));
+    EXPECT_THROW(session.runFusedBatch(queries), sim::TransientFault);
+    EXPECT_EQ(session.queriesServed(), 0);
+    EXPECT_EQ(session.aggregateReport().toJson().dump(),
+              kernel.createSession(queries[0])
+                  .aggregateReport()
+                  .toJson()
+                  .dump());
+
+    // The retried batch counts each query exactly once.
+    session.device()->attachFaultInjector(nullptr);
+    session.runFusedBatch(queries);
+    EXPECT_EQ(session.queriesServed(), 3);
+}
+
 TEST(FusedBatch, EngineRejectsBadWidth)
 {
     auto stored = randomRows(8, 64, 67);

@@ -22,7 +22,6 @@
 #include "core/ExecutionSession.h"
 #include "core/PlanCache.h"
 #include "core/ServingEngine.h"
-#include "core/SessionBackend.h"
 #include "core/ShardedEngine.h"
 #include "support/Rng.h"
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/Workloads.h"
+#include "core/AsyncServingEngine.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
 #include "core/ServingEngine.h"
@@ -269,4 +270,33 @@ TEST(ServingEngine, EuclideanKernelServesInParallel)
             expectBuffersEqual(served[q].outputs[i], serial[q].outputs[i]);
         expectReportsIdentical(served[q].perf, serial[q].perf);
     }
+}
+
+TEST(ServingEngine, AsyncOverOneReplicaMatchesSerialReplay)
+{
+    auto stored = randomRows(12, 64, 107);
+    core::CompiledKernel kernel = compileDotKernel(
+        ArchSpec::dseSetup(32, OptTarget::Base), 1, 12, 64, 2);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    auto batches = makeBatches(stored, stored_buf, 12);
+    core::ExecutionSession reference = kernel.createSession(batches[0]);
+    std::vector<core::ExecutionResult> serial = reference.runBatch(batches);
+
+    auto engine = kernel.createAsyncServingEngine(batches[0], 1, {});
+    EXPECT_EQ(engine->backend().concurrency(), 1);
+    EXPECT_TRUE(engine->backend().persistent());
+    auto futures = engine->submitBatch(batches);
+    for (std::size_t q = 0; q < futures.size(); ++q) {
+        core::ExecutionResult r = futures[q].get();
+        ASSERT_EQ(r.outputs.size(), serial[q].outputs.size());
+        for (std::size_t i = 0; i < r.outputs.size(); ++i)
+            expectBuffersEqual(r.outputs[i], serial[q].outputs[i]);
+        // One replica, one device: reports are bit-identical too (the
+        // sharded engine's aggregated reports intentionally are not).
+        EXPECT_EQ(r.perf.queryLatencyNs, serial[q].perf.queryLatencyNs);
+        EXPECT_EQ(r.perf.queryEnergyPj, serial[q].perf.queryEnergyPj);
+    }
+    engine->drain();
+    EXPECT_EQ(engine->backend().queriesServed(),
+              static_cast<std::int64_t>(batches.size()));
 }

@@ -24,7 +24,6 @@
 #include "core/AsyncServingEngine.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
-#include "core/SessionBackend.h"
 #include "core/ShardedEngine.h"
 #include "sim/Timing.h"
 #include "support/Error.h"
@@ -375,31 +374,4 @@ TEST(ShardedEngine, AggregatedReportsFollowTheMaxSumRule)
     EXPECT_EQ(agg.queriesServed, 1);
     // Empty shard lists aggregate to a zero report, not UB.
     EXPECT_EQ(sim::aggregateShardReports({}).queriesServed, 0);
-}
-
-TEST(SingleSessionBackend, AsyncOverOneSessionMatchesSerialReplay)
-{
-    Workload w = makeWorkload(12, 64, 2, 12, 107);
-    core::ExecutionSession reference =
-        w.kernel.createSession(w.batches[0]);
-    std::vector<core::ExecutionResult> serial =
-        reference.runBatch(w.batches);
-
-    core::AsyncServingEngine engine(
-        std::make_unique<core::SingleSessionBackend>(
-            w.kernel.createSession(w.batches[0])));
-    EXPECT_EQ(engine.backend().concurrency(), 1);
-    EXPECT_TRUE(engine.backend().persistent());
-    auto futures = engine.submitBatch(w.batches);
-    for (std::size_t q = 0; q < futures.size(); ++q) {
-        core::ExecutionResult r = futures[q].get();
-        expectOutputsIdentical(r, serial[q]);
-        // One session, one device: reports are bit-identical too (the
-        // sharded engine's aggregated reports intentionally are not).
-        EXPECT_EQ(r.perf.queryLatencyNs, serial[q].perf.queryLatencyNs);
-        EXPECT_EQ(r.perf.queryEnergyPj, serial[q].perf.queryEnergyPj);
-    }
-    engine.drain();
-    EXPECT_EQ(engine.backend().queriesServed(),
-              static_cast<std::int64_t>(w.batches.size()));
 }
