@@ -16,9 +16,9 @@
  * or if any result/cost invariant breaks, so CI can smoke-run it.
  *
  * --scaling switches to the thread-scaling mode: the same query
- * stream is served through a core::ServingEngine with 1/2/4/8 worker
- * threads (one programmed device replica each) and a host-qps table
- * is printed. Every threaded run must stay bit-identical to the
+ * stream is served by W = 1/2/4/8 caller threads calling
+ * ServingEngine::serve in a closed loop on a core::ServingEngine with
+ * W programmed device replicas, and a host-qps table is printed. Every threaded run must stay bit-identical to the
  * serial session (answers and per-query cost reports); on hosts with
  * >= 4 hardware threads the bench additionally exits non-zero when
  * the 4-worker engine does not beat the serial session by > 1.5x in
@@ -30,12 +30,13 @@
  * for why). The bench exits non-zero unless (a) plan replay is >= 3x
  * faster in host wall-clock, (b) every per-query simulated PerfReport
  * is bit-identical between the two back ends, and (c) fused-batch
- * (runFusedBatch) totals equal the sum of the corresponding serial
- * query windows exactly.
+ * (ExecutionSession::runFusedBatch) totals equal the sum of the
+ * corresponding serial query windows exactly.
  *
  * --async switches to the async-front-end gate: the same stream is
- * served (a) through ServingEngine::runBatch at W workers (the sync
- * baseline), (b) open-loop through an AsyncServingEngine -- every
+ * served (a) by W caller threads calling ServingEngine::serve on W
+ * replicas in a closed loop (the sync baseline: no queue, no
+ * dispatchers), (b) open-loop through an AsyncServingEngine -- every
  * query submitted as fast as the bounded queue admits, arrivals
  * independent of completions, backpressure from the queue bound --
  * and (c) closed-loop -- W submitters that each wait for their
@@ -43,8 +44,8 @@
  * W by construction. The bench exits non-zero unless (1) every async
  * result (both arrival modes) is bit-identical to serial session
  * replay in answers and per-query simulated PerfReports, and (2)
- * open-loop async qps is no worse than 0.9x the sync runBatch qps at
- * equal worker count (the 10% guard absorbs scheduler noise on
+ * open-loop async qps is no worse than 0.9x the sync qps at equal
+ * worker count (the 10% guard absorbs scheduler noise on
  * loaded CI runners; the contract is "the queue layer costs
  * nothing"). The qps gate applies from 32 queries up -- tiny
  * sanitizer smoke runs keep the bit-identity checks but skip the
@@ -159,6 +160,35 @@ sameQueryCost(const sim::PerfReport &a, const sim::PerfReport &b)
            a.driveEnergyPj == b.driveEnergyPj &&
            a.mergeEnergyPj == b.mergeEnergyPj &&
            a.searches == b.searches;
+}
+
+/**
+ * Serve @p batches from @p workers caller threads in a closed loop:
+ * each thread takes the next index off a shared cursor and waits for
+ * @p serve to return before taking another. @return the results in
+ * input order.
+ */
+template <typename Serve>
+std::vector<core::ExecutionResult>
+serveClosedLoop(const std::vector<std::vector<rt::BufferPtr>> &batches,
+                int workers, Serve serve)
+{
+    std::vector<core::ExecutionResult> results(batches.size());
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::thread> callers;
+    callers.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w)
+        callers.emplace_back([&] {
+            for (;;) {
+                std::size_t idx = cursor.fetch_add(1);
+                if (idx >= batches.size())
+                    return;
+                results[idx] = serve(batches[idx]);
+            }
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    return results;
 }
 
 /**
@@ -563,8 +593,11 @@ runScaling(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
         auto engine =
             kernel.createServingEngine({queries[0], stored_buf}, workers);
         start = Clock::now();
-        std::vector<core::ExecutionResult> threaded =
-            engine->runBatch(batches);
+        std::vector<core::ExecutionResult> threaded = serveClosedLoop(
+            batches, workers,
+            [&](const std::vector<rt::BufferPtr> &args) {
+                return engine->serve(args);
+            });
         double batch_s = secondsSince(start);
         double qps = static_cast<double>(queries.size()) / batch_s;
         core::ServingStats stats = engine->stats();
@@ -625,7 +658,8 @@ runScaling(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
 
 /**
  * Async-front-end gate: open-loop and closed-loop arrival modes vs
- * the synchronous runBatch baseline. @return process exit code.
+ * the synchronous baseline (W caller threads on ServingEngine::serve).
+ * @return process exit code.
  */
 int
 runAsync(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
@@ -660,17 +694,21 @@ runAsync(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
             return true;
         };
 
-    // Sync baseline: the same replicas driven by runBatch.
+    // Sync baseline: the same replicas, each driven by its own caller
+    // thread -- the closed-loop async leg below minus the queue.
     double sync_qps = 0.0;
     {
         auto engine =
             kernel.createServingEngine({queries[0], stored_buf}, workers);
         Clock::time_point start = Clock::now();
-        std::vector<core::ExecutionResult> results =
-            engine->runBatch(batches);
+        std::vector<core::ExecutionResult> results = serveClosedLoop(
+            batches, workers,
+            [&](const std::vector<rt::BufferPtr> &args) {
+                return engine->serve(args);
+            });
         double wall_s = secondsSince(start);
         sync_qps = n / wall_s;
-        if (!check_identical(results, "sync runBatch"))
+        if (!check_identical(results, "sync serve"))
             return 1;
     }
 
@@ -706,21 +744,12 @@ runAsync(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
         options.queueCapacity = 64;
         auto engine = kernel.createAsyncServingEngine(
             {queries[0], stored_buf}, workers, options);
-        std::vector<core::ExecutionResult> results(batches.size());
-        std::vector<std::thread> submitters;
-        std::atomic<std::size_t> cursor{0};
         Clock::time_point start = Clock::now();
-        for (int w = 0; w < workers; ++w)
-            submitters.emplace_back([&] {
-                for (;;) {
-                    std::size_t idx = cursor.fetch_add(1);
-                    if (idx >= batches.size())
-                        return;
-                    results[idx] = engine->submit(batches[idx]).get();
-                }
+        std::vector<core::ExecutionResult> results = serveClosedLoop(
+            batches, workers,
+            [&](const std::vector<rt::BufferPtr> &args) {
+                return engine->submit(args).get();
             });
-        for (auto &t : submitters)
-            t.join();
         double wall_s = secondsSince(start);
         closed_qps = n / wall_s;
         closed_stats = engine->stats();
@@ -733,7 +762,7 @@ runAsync(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
     bench::rule();
     std::printf("%-22s %12s %12s %14s %14s\n", "mode", "wall qps",
                 "vs sync", "p50 wait (us)", "p95 exec (us)");
-    std::printf("%-22s %12.1f %12s %14s %14s\n", "sync runBatch",
+    std::printf("%-22s %12.1f %12s %14s %14s\n", "sync serve",
                 sync_qps, "1.00x", "-", "-");
     std::printf("%-22s %12.1f %11.2fx %14.1f %14.1f\n", "async open-loop",
                 open_qps, open_qps / sync_qps,
@@ -772,8 +801,7 @@ runAsync(core::CompiledKernel &kernel, const rt::BufferPtr &stored_buf,
         if (open_qps < 0.9 * sync_qps) {
             std::fprintf(stderr,
                          "FAIL: open-loop async qps %.1f fell below "
-                         "0.9x the sync runBatch qps %.1f at %d "
-                         "workers\n",
+                         "0.9x the sync qps %.1f at %d workers\n",
                          open_qps, sync_qps, workers);
             return 1;
         }
@@ -989,21 +1017,12 @@ runSharded(const core::CompilerOptions &options, const std::string &source,
             return 1;
         }
 
-        std::vector<core::ExecutionResult> results(batches.size());
-        std::vector<std::thread> submitters;
-        std::atomic<std::size_t> cursor{0};
         start = Clock::now();
-        for (int w = 0; w < workers; ++w)
-            submitters.emplace_back([&] {
-                for (;;) {
-                    std::size_t idx = cursor.fetch_add(1);
-                    if (idx >= batches.size())
-                        return;
-                    results[idx] = engine->serve(batches[idx]);
-                }
+        std::vector<core::ExecutionResult> results = serveClosedLoop(
+            batches, workers,
+            [&](const std::vector<rt::BufferPtr> &args) {
+                return engine->serve(args);
             });
-        for (auto &t : submitters)
-            t.join();
         double qps = n / secondsSince(start);
         core::ServingStats stats = engine->stats();
         std::printf("%-10d %14.1f %11.2fx %12.1f %12.1f\n", shards, qps,

@@ -68,14 +68,20 @@ AsyncServingEngine::shuttingDown() const
     return shutdown_.load();
 }
 
-AsyncServingEngine::Admission
-AsyncServingEngine::enqueue(Pending pending)
+std::future<ExecutionResult>
+AsyncServingEngine::enqueue(std::vector<rt::BufferPtr> args,
+                            std::int64_t deadline_us,
+                            Clock::time_point admit_start)
 {
+    Pending pending;
+    pending.admitStart = admit_start;
+    pending.args = std::move(args);
+    pending.deadlineUs =
+        deadline_us != 0 ? deadline_us : options_.deadlineUs;
+    std::future<ExecutionResult> future = pending.promise.get_future();
     submitted_.fetch_add(1);
     support::TraceCollector *col = options_.trace;
     if (col) {
-        if (pending.admitStart == Clock::time_point{})
-            pending.admitStart = Clock::now();
         pending.queryId = col->newQueryId();
         pending.rootSpan = col->newSpanId();
     }
@@ -85,7 +91,6 @@ AsyncServingEngine::enqueue(Pending pending)
     // the admit span closes at the pre-push `enqueued` stamp).
     const std::uint64_t query_id = pending.queryId;
     const std::uint64_t root_span = pending.rootSpan;
-    const Clock::time_point admit_start = pending.admitStart;
     const Clock::time_point admit_end = pending.enqueued;
     auto result = queue_.push(std::move(pending));
     switch (result.status) {
@@ -111,16 +116,13 @@ AsyncServingEngine::enqueue(Pending pending)
                                         "overflow displaced it from the "
                                         "submission queue"));
         }
-        return Admission::Accepted;
+        break;
     case support::BoundedQueue<Pending>::PushStatus::Rejected:
     case support::BoundedQueue<Pending>::PushStatus::Closed: {
         // Never entered the queue: count as rejected (not completed),
-        // and resolve a promise-flavored submission's future with the
-        // admission error. Callback-flavored submissions signal the
-        // rejection through trySubmit's return value instead -- the
-        // callback must not fire for work that was never accepted.
+        // and resolve the submission's future with the admission error.
         rejected_.fetch_add(1);
-        if (result.returned && !result.returned->hasCallback)
+        if (result.returned)
             result.returned->promise.set_exception(admissionError(
                 result.status ==
                         support::BoundedQueue<Pending>::PushStatus::Closed
@@ -129,10 +131,10 @@ AsyncServingEngine::enqueue(Pending pending)
                     : "query rejected: submission queue is full "
                       "(reject policy)"));
         notifyProgress();
-        return Admission::Rejected;
+        break;
     }
     }
-    return Admission::Rejected; // unreachable
+    return future;
 }
 
 std::future<ExecutionResult>
@@ -145,77 +147,23 @@ AsyncServingEngine::submit(std::vector<rt::BufferPtr> args,
     // Fail malformed submissions on the caller's stack, before they
     // consume a queue slot.
     backend_->validateQuery(args);
-    Pending pending;
-    pending.admitStart = admit_start;
-    pending.args = std::move(args);
-    pending.deadlineUs =
-        deadline_us != 0 ? deadline_us : options_.deadlineUs;
-    std::future<ExecutionResult> future = pending.promise.get_future();
-    enqueue(std::move(pending));
-    return future;
-}
-
-bool
-AsyncServingEngine::trySubmit(std::vector<rt::BufferPtr> args,
-                              Completion callback,
-                              std::int64_t deadline_us)
-{
-    Clock::time_point admit_start = Clock::now();
-    C4CAM_CHECK(callback, "trySubmit needs a completion callback");
-    backend_->validateQuery(args);
-    Pending pending;
-    pending.admitStart = admit_start;
-    pending.args = std::move(args);
-    pending.deadlineUs =
-        deadline_us != 0 ? deadline_us : options_.deadlineUs;
-    pending.callback = std::move(callback);
-    pending.hasCallback = true;
-    if (enqueue(std::move(pending)) == Admission::Rejected)
-        return false;
-    return true;
+    return enqueue(std::move(args), deadline_us, admit_start);
 }
 
 std::vector<std::future<ExecutionResult>>
 AsyncServingEngine::submitBatch(
     const std::vector<std::vector<rt::BufferPtr>> &queries)
 {
+    // Validate the whole batch first: a malformed query must fail
+    // before any of its batch-mates is enqueued, or the caller would
+    // lose the futures of queries that are already being served.
+    for (const auto &args : queries)
+        backend_->validateQuery(args);
     std::vector<std::future<ExecutionResult>> futures;
     futures.reserve(queries.size());
     for (const auto &args : queries)
-        futures.push_back(submit(args));
+        futures.push_back(enqueue(args, 0, Clock::now()));
     return futures;
-}
-
-void
-AsyncServingEngine::submitBatchStreaming(
-    const std::vector<std::vector<rt::BufferPtr>> &queries,
-    std::function<void(std::size_t, ExecutionResult, std::exception_ptr)>
-        on_result)
-{
-    C4CAM_CHECK(on_result, "submitBatchStreaming needs a result callback");
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        // Every index gets exactly one completion -- admission
-        // failures AND validation failures included. A streaming
-        // consumer must never have to guess which entries went
-        // missing, so a malformed query mid-list is reported through
-        // its own slot instead of aborting the remaining submissions.
-        bool accepted = false;
-        std::exception_ptr failure;
-        try {
-            accepted = trySubmit(
-                queries[i], [on_result, i](ExecutionResult result,
-                                           std::exception_ptr err) {
-                    on_result(i, std::move(result), err);
-                });
-        } catch (const CompilerError &) {
-            failure = std::current_exception();
-        }
-        if (failure)
-            on_result(i, ExecutionResult{}, failure);
-        else if (!accepted)
-            on_result(i, ExecutionResult{},
-                      admissionError("query rejected at submission"));
-    }
 }
 
 void
@@ -256,19 +204,10 @@ AsyncServingEngine::deliver(Pending &pending, ExecutionResult result,
                             Clock::time_point dispatch_done)
 {
     // Fulfill BEFORE counting: completed_ is what drain() waits on,
-    // and once it covers every ticket the corresponding futures and
-    // callbacks must already have fired -- counting first would let
-    // drain() return while a future is still being set.
-    if (pending.hasCallback) {
-        try {
-            pending.callback(std::move(result), nullptr);
-        } catch (...) {
-            // A throwing completion callback is a caller bug; eating
-            // the exception beats tearing down the dispatcher.
-        }
-    } else {
-        pending.promise.set_value(std::move(result));
-    }
+    // and once it covers every ticket the corresponding futures must
+    // already be ready -- counting first would let drain() return
+    // while a future is still being set.
+    pending.promise.set_value(std::move(result));
     recordCompletionSpans(pending, dispatch_done);
     completed_.fetch_add(1);
     notifyProgress();
@@ -278,14 +217,7 @@ void
 AsyncServingEngine::deliverError(Pending &pending, std::exception_ptr error,
                                  Clock::time_point dispatch_done)
 {
-    if (pending.hasCallback) {
-        try {
-            pending.callback(ExecutionResult{}, error);
-        } catch (...) {
-        }
-    } else {
-        pending.promise.set_exception(error);
-    }
+    pending.promise.set_exception(error);
     recordCompletionSpans(pending, dispatch_done);
     failed_.fetch_add(1);
     completed_.fetch_add(1);

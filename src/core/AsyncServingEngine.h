@@ -18,11 +18,12 @@
  *                by default)
  *             -> QueryBackend (replicas / shards)
  *
+ * It is the library's only concurrent serving front-end: the backends
+ * start no serving threads of their own.
+ *
  * @code
  *   auto engine = kernel.createAsyncServingEngine(setup_args, 4, {});
  *   std::future<core::ExecutionResult> f = engine->submit(args);
- *   engine->trySubmit(args2, [](core::ExecutionResult r,
- *                               std::exception_ptr err) { ... });
  *   engine->drain();                   // wait for everything accepted
  *   core::AsyncServingStats s = engine->stats();
  * @endcode
@@ -43,14 +44,13 @@
  * Shutdown semantics: shutdown() (and the destructor) closes the
  * queue -- new submissions fail fast -- then lets the dispatchers
  * drain every already-accepted query before joining them. Accepted
- * work is never lost; every future/callback eventually fires.
+ * work is never lost; every future eventually resolves.
  */
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -120,7 +120,7 @@ struct AsyncServingOptions
      * DeadlineExceeded when a dispatcher pops it, before any device
      * work (admission-time check -- a query that started executing is
      * never abandoned mid-serve). 0 (the default) disables deadlines;
-     * submit()/trySubmit() can override per query.
+     * submit() can override per query.
      */
     std::int64_t deadlineUs = 0;
 
@@ -198,26 +198,12 @@ struct AsyncServingStats
  * Bounded-queue admission + dispatcher threads over a QueryBackend.
  *
  * Thread-safe throughout: any number of producer threads may call
- * submit()/trySubmit()/submitBatch* concurrently with each other,
- * with drain(), with stats(), and with one shutdown() caller.
+ * submit()/submitBatch() concurrently with each other, with drain(),
+ * with stats(), and with one shutdown() caller.
  */
 class AsyncServingEngine
 {
   public:
-    /**
-     * Per-query completion callback: exactly one of (result, error)
-     * is meaningful -- error is nullptr on success. Served queries
-     * complete on a dispatcher thread; admission-time failures
-     * complete on the SUBMITTING thread (a query displaced by
-     * DropOldest fails inside the displacing producer's submit call,
-     * and a streaming slot that fails validation/admission fails
-     * inside submitBatchStreaming). Keep callbacks cheap, reentrant
-     * with respect to your own locks, and never call back into
-     * blocking engine entry points from them.
-     */
-    using Completion =
-        std::function<void(ExecutionResult result, std::exception_ptr error)>;
-
     /**
      * Take ownership of any synchronous backend (a ServingEngine, a
      * ShardedEngine, ...) and put the bounded queue + dispatchers in
@@ -250,36 +236,14 @@ class AsyncServingEngine
                                         std::int64_t deadline_us = 0);
 
     /**
-     * Callback-flavored submission. @return false when the queue
-     * rejected the query (Reject policy full, or shut down) -- the
-     * callback is then never invoked. On true the callback fires
-     * exactly once, including the DropOldest-eviction, deadline-shed
-     * and shutdown-drain cases (as errors). @p deadline_us as in
-     * submit().
+     * Future-flavored bulk submission, one future per query in input
+     * order (admission errors surface through the futures). Every
+     * query is validated before any is enqueued: a malformed query
+     * anywhere in @p queries throws CompilerError here and nothing of
+     * the batch is submitted or served.
      */
-    bool trySubmit(std::vector<rt::BufferPtr> args, Completion callback,
-                   std::int64_t deadline_us = 0);
-
-    /** Future-flavored bulk submission, one future per query in
-     *  input order (admission errors surface through the futures). */
     std::vector<std::future<ExecutionResult>>
     submitBatch(const std::vector<std::vector<rt::BufferPtr>> &queries);
-
-    /**
-     * Streaming bulk submission: @p on_result fires per query AS IT
-     * FINISHES (any order, concurrently from dispatcher threads) with
-     * the query's input-order index. Every index gets exactly one
-     * completion -- admission rejections and per-query validation
-     * errors are reported through that query's slot (with a null
-     * result) rather than aborting the remaining submissions. Returns
-     * once all queries are enqueued; pair with drain() to wait for
-     * the completions.
-     */
-    void submitBatchStreaming(
-        const std::vector<std::vector<rt::BufferPtr>> &queries,
-        std::function<void(std::size_t index, ExecutionResult result,
-                           std::exception_ptr error)>
-            on_result);
 
     /**
      * Wait until every submission accepted so far has completed (or
@@ -320,8 +284,6 @@ class AsyncServingEngine
     {
         std::vector<rt::BufferPtr> args;
         std::promise<ExecutionResult> promise;
-        Completion callback; ///< used instead of promise when set
-        bool hasCallback = false;
         Clock::time_point enqueued;
         /** Effective enqueue-wait deadline (us); <= 0 = none.
          *  Resolved at submission (per-query override or the engine
@@ -336,10 +298,12 @@ class AsyncServingEngine
         /// @}
     };
 
-    /** Admission outcome shared by the submit flavors. */
-    enum class Admission { Accepted, Rejected };
-
-    Admission enqueue(Pending pending);
+    /** Admit one already-validated query: ticket it, push it onto
+     *  the queue and return its future. @p deadline_us as in
+     *  submit(); @p admit_start opens its "admit" span. */
+    std::future<ExecutionResult> enqueue(std::vector<rt::BufferPtr> args,
+                                         std::int64_t deadline_us,
+                                         Clock::time_point admit_start);
     void dispatchLoop();
     /** @p dispatch_done, when not the epoch default, additionally
      *  records a "deliver" span from that timestamp to now (the

@@ -192,12 +192,13 @@ class CompiledKernel
     createSession(const std::vector<rt::BufferPtr> &setup_args);
 
     /**
-     * Open a parallel serving engine: programs one session (setup
-     * phase), clones it into @p replicas programmed copies and serves
-     * queries through a worker pool with one thread per replica. Each
-     * served query's PerfReport is bit-identical to a serial
+     * Open a replica-pool serving backend: programs one session (setup
+     * phase) and clones it into @p replicas programmed copies, each
+     * serve() call running on whichever replica is free. Each served
+     * query's PerfReport is bit-identical to a serial
      * ExecutionSession::runQuery() of the same input. The kernel must
-     * outlive the engine. See core/ServingEngine.h.
+     * outlive the engine. See core/ServingEngine.h; to serve
+     * concurrently, use createAsyncServingEngine().
      */
     std::unique_ptr<ServingEngine>
     createServingEngine(const std::vector<rt::BufferPtr> &setup_args,

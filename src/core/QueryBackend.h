@@ -6,13 +6,12 @@
  * The serving seam: "how a query executes" vs "which hardware
  * instance executes it".
  *
- * AsyncServingEngine used to reach into ServingEngine through a friend
- * declaration to call its private serve()/serveFusedChunk() primitives
- * -- which welded the async front-end to exactly one backend shape (a
- * replica pool over one programmed device). QueryBackend replaces that
- * coupling with an interface: anything that can validate a query,
- * serve it (optionally as part of a fused chunk) and account for it
- * can sit behind the bounded queue. Two implementations exist:
+ * AsyncServingEngine is the one concurrent serving front-end: its
+ * bounded queue and dispatcher threads drive any QueryBackend --
+ * anything that can validate a query, serve it (optionally as part of
+ * a fused chunk) and account for it. Backends start no serving
+ * threads of their own; they only have to be safe to call from
+ * several threads at once. Two implementations exist:
  *
  *  - ServingEngine: N cloned ExecutionSessions of one programmed
  *    device behind a free-list; with N = 1 it is the minimal

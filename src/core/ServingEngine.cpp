@@ -1,7 +1,6 @@
 #include "core/ServingEngine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
 #include "sim/FaultInjector.h"
@@ -59,15 +58,6 @@ ServingEngine::ServingEngine(ExecutionSession master, int replicas)
     freeReplicas_.reserve(replicas_.size());
     for (auto &replica : replicas_)
         freeReplicas_.push_back(replica.get());
-}
-
-support::ThreadPool &
-ServingEngine::pool()
-{
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    if (!pool_)
-        pool_ = std::make_unique<support::ThreadPool>(replicas_.size());
-    return *pool_;
 }
 
 void
@@ -144,56 +134,6 @@ ServingEngine::serve(const std::vector<rt::BufferPtr> &args,
     return result;
 }
 
-std::future<ExecutionResult>
-ServingEngine::submit(std::vector<rt::BufferPtr> args)
-{
-    validateQuery(args);
-    return pool().submit(
-        [this, args = std::move(args)] { return serve(args); });
-}
-
-std::vector<ExecutionResult>
-ServingEngine::runBatch(
-    const std::vector<std::vector<rt::BufferPtr>> &queries, int threads)
-{
-    // Validate everything up front: a malformed query must fail before
-    // any work is enqueued, not halfway through a batch.
-    for (const auto &args : queries)
-        validateQuery(args);
-
-    int lanes = threads <= 0 ? numReplicas()
-                             : std::min(threads, numReplicas());
-    lanes = std::min<int>(lanes, static_cast<int>(queries.size()));
-
-    std::vector<ExecutionResult> results(queries.size());
-    if (lanes <= 0)
-        return results;
-
-    // Drain lanes: `lanes` pool tasks pull query indices from a shared
-    // cursor, so concurrency is capped at `lanes` while results land
-    // in input order (distinct slots, no ordering races).
-    auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane) {
-        futures.push_back(pool().submit([this, &queries, &results,
-                                         cursor] {
-            for (;;) {
-                std::size_t idx = cursor->fetch_add(1);
-                if (idx >= queries.size())
-                    return;
-                results[idx] = serve(queries[idx]);
-            }
-        }));
-    }
-    // get() rethrows the first lane failure after all lanes stopped.
-    for (auto &future : futures)
-        future.wait();
-    for (auto &future : futures)
-        future.get();
-    return results;
-}
-
 FusedBatchResult
 ServingEngine::serveFusedChunk(
     const std::vector<std::vector<rt::BufferPtr>> &queries,
@@ -231,49 +171,6 @@ ServingEngine::serveFusedChunk(
     recorder_.recordChunk(batch.results, start, done);
     record_roots(done);
     return batch;
-}
-
-std::vector<FusedBatchResult>
-ServingEngine::runFusedBatch(
-    const std::vector<std::vector<rt::BufferPtr>> &queries, int k,
-    int threads)
-{
-    C4CAM_CHECK(k >= 1, "fused batch width must be >= 1, got " << k);
-    for (const auto &args : queries)
-        validateQuery(args);
-
-    std::size_t n = queries.size();
-    std::size_t width = static_cast<std::size_t>(k);
-    std::size_t num_chunks = (n + width - 1) / width;
-    std::vector<FusedBatchResult> results(num_chunks);
-    if (num_chunks == 0)
-        return results;
-
-    int lanes = threads <= 0 ? numReplicas()
-                             : std::min(threads, numReplicas());
-    lanes = std::min<int>(lanes, static_cast<int>(num_chunks));
-
-    auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane) {
-        futures.push_back(pool().submit([this, &queries, &results,
-                                         cursor, n, width, num_chunks] {
-            for (;;) {
-                std::size_t idx = cursor->fetch_add(1);
-                if (idx >= num_chunks)
-                    return;
-                std::size_t begin = idx * width;
-                std::size_t end = std::min(n, begin + width);
-                results[idx] = serveFusedChunk(queries, begin, end);
-            }
-        }));
-    }
-    for (auto &future : futures)
-        future.wait();
-    for (auto &future : futures)
-        future.get();
-    return results;
 }
 
 ServingStats

@@ -3,22 +3,26 @@
 
 /**
  * @file
- * Parallel query serving on replicated CAM devices.
+ * Query serving on replicated CAM devices.
  *
  * An ExecutionSession serves queries one at a time on one programmed
  * device. A ServingEngine scales that out across host threads: it
  * takes one programmed session (setup paid once), forks it with
- * ExecutionSession::clone() into N replicas, and drives them from a
- * free-list behind a work queue with one worker thread per replica.
+ * ExecutionSession::clone() into N replicas, and hands each serve()
+ * call whichever replica is free. The engine starts no threads of its
+ * own; concurrency comes from its callers -- the dispatcher threads
+ * of an AsyncServingEngine, or any caller threads that call serve()
+ * directly.
  *
  * @code
  *   core::CompiledKernel kernel = compiler.compileTorchScript(src);
  *   auto engine = kernel.createServingEngine({query0, stored}, 4);
- *   std::future<core::ExecutionResult> f = engine->submit({q, stored});
- *   std::vector<core::ExecutionResult> all =
- *       engine->runBatch(batches, 4);  // concurrency cap: 4 lanes
+ *   core::ExecutionResult r = engine->serve({q, stored});  // any thread
  *   core::ServingStats stats = engine->stats();  // qps, p50/p95
  * @endcode
+ *
+ * CompiledKernel::createAsyncServingEngine() puts the bounded queue and
+ * dispatcher threads of an AsyncServingEngine in front of the replicas.
  *
  * Accounting guarantees (locked by tests and bench/serving_throughput):
  *  - every served query's PerfReport is bit-identical to what a serial
@@ -32,14 +36,14 @@
  *
  * Threading model: the compiled module and plan are shared read-only;
  * each replica session owns its CamDevice and slot frame and serves at
- * most one query at a time (enforced by the free-list). Queries must
- * not alias writable buffers across concurrent submissions (inputs are
+ * most one query at a time (enforced by the free-list: a serve() call
+ * with every replica busy waits for one to come back). Queries must
+ * not alias writable buffers across concurrent calls (inputs are
  * read-only; outputs are freshly allocated per query).
  */
 
 #include <atomic>
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -50,13 +54,12 @@
 #include "core/ServingRecorder.h"
 #include "runtime/Buffer.h"
 #include "sim/CamDevice.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 namespace c4cam::core {
 
 /**
- * N cloned ExecutionSessions behind a work queue.
+ * N cloned ExecutionSessions behind a free-list.
  *
  * For host-only kernels (no cam ops, nothing programmed) the clones
  * run independent full executions per query -- still parallel, just
@@ -76,43 +79,8 @@ class ServingEngine : public QueryBackend
      */
     ServingEngine(ExecutionSession master, int replicas);
 
-    /** Waits for all in-flight queries, then tears down the pool. */
-    ~ServingEngine() = default;
-
     ServingEngine(const ServingEngine &) = delete;
     ServingEngine &operator=(const ServingEngine &) = delete;
-
-    /**
-     * Enqueue one query asynchronously. The future resolves with the
-     * result (or rethrows the execution error). Queries may complete
-     * in any order; each runs on whichever replica frees up first.
-     */
-    std::future<ExecutionResult>
-    submit(std::vector<rt::BufferPtr> args);
-
-    /**
-     * Serve @p queries and return results in input order.
-     * @param threads concurrency cap; 0 (default) uses all replicas,
-     *        1 degenerates to serial serving, values above the replica
-     *        count are clamped.
-     */
-    std::vector<ExecutionResult>
-    runBatch(const std::vector<std::vector<rt::BufferPtr>> &queries,
-             int threads = 0);
-
-    /**
-     * Serve @p queries in fused multi-query passes of width @p k: the
-     * stream is chunked into groups of (up to) k queries, each group
-     * driven through one replica inside one fused device window
-     * (ExecutionSession::serveFusedChunk). Chunks run concurrently across
-     * replicas, capped by @p threads like runBatch. @return one
-     * FusedBatchResult per chunk, in stream order; per-query results
-     * and reports stay bit-identical to serial serving, and each
-     * chunk's fused totals equal the sum of its query windows.
-     */
-    std::vector<FusedBatchResult>
-    runFusedBatch(const std::vector<std::vector<rt::BufferPtr>> &queries,
-                  int k, int threads = 0);
 
     /**
      * Validate @p args against the kernel signature without serving
@@ -255,16 +223,6 @@ class ServingEngine : public QueryBackend
 
     /** Aggregate, counters and the engine's own root spans. */
     ServingRecorder recorder_;
-
-    /** The pool backing submit()/runBatch()/runFusedBatch(), created
-     *  lazily on first use: the async front-end dispatches through
-     *  serve()/serveFusedChunk() on its own threads and must not pay
-     *  one parked pool worker per replica for the engine's lifetime.
-     *  Declared last: destruction drains in-flight work while the
-     *  replicas and stats above are still alive. */
-    support::ThreadPool &pool();
-    std::mutex poolMutex_;
-    std::unique_ptr<support::ThreadPool> pool_;
 };
 
 } // namespace c4cam::core

@@ -156,91 +156,35 @@ TEST(AsyncServing, MalformedSubmissionFailsOnCallerStack)
     auto engine = workload().kernel.createAsyncServingEngine(
         workload().queryFor(0), 1, {});
     EXPECT_THROW(engine->submit({}), CompilerError);
-    EXPECT_THROW(
-        engine->trySubmit({}, [](core::ExecutionResult,
-                                 std::exception_ptr) {}),
-        CompilerError);
     core::AsyncServingStats stats = engine->stats();
     EXPECT_EQ(stats.submitted, 0); // never ticketed, never queued
 }
 
-TEST(AsyncServing, CallbackSubmissionFiresExactlyOnce)
+TEST(AsyncServing, SubmitBatchValidatesEveryQueryBeforeEnqueuingAny)
 {
+    // A malformed query at the END of a batch must fail the whole call
+    // before any batch-mate is enqueued: the caller never receives the
+    // futures, so a half-enqueued batch would serve queries nobody can
+    // collect.
     auto engine = workload().kernel.createAsyncServingEngine(
-        workload().queryFor(0), 2, {});
-    std::atomic<int> fired{0};
-    std::promise<void> done;
-    ASSERT_TRUE(engine->trySubmit(
-        workload().queryFor(5),
-        [&](core::ExecutionResult result, std::exception_ptr error) {
-            EXPECT_EQ(error, nullptr);
-            expectMatchesReference(result, 5);
-            if (fired.fetch_add(1) == 0)
-                done.set_value();
-        }));
-    done.get_future().wait();
+        workload().queryFor(0), 1, {});
+    EXPECT_THROW(engine->submitBatch({workload().queryFor(1),
+                                      workload().queryFor(2),
+                                      workload().queryFor(3),
+                                      {}}),
+                 CompilerError);
     engine->drain();
-    EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(AsyncServing, SubmitBatchStreamingYieldsEveryIndexOnce)
-{
-    auto engine = workload().kernel.createAsyncServingEngine(
-        workload().queryFor(0), 2, {});
-    const std::size_t n = 24;
-    std::vector<std::vector<rt::BufferPtr>> queries;
-    for (std::size_t i = 0; i < n; ++i)
-        queries.push_back(
-            workload().queryFor(static_cast<std::int64_t>(i % kRows)));
-
-    std::mutex mutex;
-    std::vector<int> seen(n, 0);
-    engine->submitBatchStreaming(
-        queries, [&](std::size_t index, core::ExecutionResult result,
-                     std::exception_ptr error) {
-            ASSERT_LT(index, n);
-            EXPECT_EQ(error, nullptr);
-            expectMatchesReference(
-                result, static_cast<std::int64_t>(index % kRows));
-            std::lock_guard<std::mutex> lock(mutex);
-            ++seen[index];
-        });
-    engine->drain();
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(seen[i], 1) << "index " << i;
-    EXPECT_EQ(engine->stats().completed, static_cast<std::int64_t>(n));
-}
-
-TEST(AsyncServing, SubmitBatchStreamingReportsMalformedSlotInline)
-{
-    // A malformed query mid-list must fail through its own completion
-    // slot; the queries before AND after it are served normally.
-    auto engine = workload().kernel.createAsyncServingEngine(
-        workload().queryFor(0), 2, {});
-    std::vector<std::vector<rt::BufferPtr>> queries{
-        workload().queryFor(1),
-        {}, // wrong arity: fails validation
-        workload().queryFor(2),
-    };
-    std::mutex mutex;
-    std::vector<int> completions(queries.size(), 0);
-    std::vector<bool> errored(queries.size(), false);
-    engine->submitBatchStreaming(
-        queries, [&](std::size_t index, core::ExecutionResult result,
-                     std::exception_ptr error) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++completions[index];
-            errored[index] = error != nullptr;
-            if (!error)
-                expectMatchesReference(
-                    result, index == 0 ? 1 : 2);
-        });
-    engine->drain();
-    EXPECT_EQ(completions, (std::vector<int>{1, 1, 1}));
-    EXPECT_EQ(errored, (std::vector<bool>{false, true, false}));
     core::AsyncServingStats stats = engine->stats();
-    EXPECT_EQ(stats.completed, 2); // the malformed slot never entered
-    EXPECT_EQ(stats.submitted, 2);
+    EXPECT_EQ(stats.submitted, 0);
+    EXPECT_EQ(stats.completed, 0);
+    EXPECT_EQ(stats.serving.queriesServed, 0);
+
+    // A well-formed batch on the same engine is served in full.
+    auto futures = engine->submitBatch(
+        {workload().queryFor(4), workload().queryFor(5)});
+    ASSERT_EQ(futures.size(), 2u);
+    expectMatchesReference(futures[0].get(), 4);
+    expectMatchesReference(futures[1].get(), 5);
 }
 
 TEST(AsyncServing, MicroBatchingFusesUnderLoadOnly)
@@ -332,19 +276,14 @@ TEST(AsyncServing, ShutdownRejectsNewWorkAndDrainsAccepted)
     for (int i = 0; i < 16; ++i)
         expectMatchesReference(futures[static_cast<std::size_t>(i)].get(),
                                i % kRows);
-    // New work is refused through both submission flavors, with the
-    // admission-specific error type (not a generic execution error).
+    // New work is refused with the admission-specific error type (not
+    // a generic execution error).
     std::future<core::ExecutionResult> late =
         engine->submit(workload().queryFor(0));
     EXPECT_THROW(late.get(), core::AdmissionError);
-    EXPECT_FALSE(engine->trySubmit(
-        workload().queryFor(0),
-        [](core::ExecutionResult, std::exception_ptr) {
-            FAIL() << "callback must not fire for rejected work";
-        }));
     core::AsyncServingStats stats = engine->stats();
     EXPECT_EQ(stats.completed, 16);
-    EXPECT_EQ(stats.rejected, 2);
+    EXPECT_EQ(stats.rejected, 1);
     // Idempotent second shutdown.
     engine->shutdown();
 }

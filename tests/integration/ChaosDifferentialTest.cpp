@@ -127,8 +127,11 @@ TEST(ChaosDifferential, TransientRetryIsBitIdenticalToFaultFreeServing)
     engine->setRetryPolicy(policy);
     engine->attachFaultInjector(injector);
 
-    std::vector<core::ExecutionResult> results =
-        engine->runBatch(w.batches);
+    // Serial serve() loop on the one replica: device-0 search ordinals
+    // follow stream order.
+    std::vector<core::ExecutionResult> results;
+    for (const auto &batch : w.batches)
+        results.push_back(engine->serve(batch));
     ASSERT_EQ(results.size(), serial.size());
     for (std::size_t q = 0; q < results.size(); ++q)
         expectBitIdentical(results[q], serial[q]);

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
@@ -234,11 +236,13 @@ TEST(FusedBatch, EngineChunksStreamAndMatchesSerial)
     std::vector<core::ExecutionResult> serial_results =
         serial.runBatch(queries);
 
+    // 10 queries at width 4 -> chunks of 4, 4, 2 in stream order, each
+    // on whichever of the two replicas is free.
     auto engine = kernel.createServingEngine(queries[0], 2);
-    std::vector<core::FusedBatchResult> chunks =
-        engine->runFusedBatch(queries, 4);
-
-    // 10 queries at width 4 -> chunks of 4, 4, 2 in stream order.
+    std::vector<core::FusedBatchResult> chunks;
+    for (std::size_t begin = 0; begin < queries.size(); begin += 4)
+        chunks.push_back(engine->serveFusedChunk(
+            queries, begin, std::min(queries.size(), begin + 4)));
     ASSERT_EQ(chunks.size(), 3u);
     EXPECT_EQ(chunks[0].fused.k, 4);
     EXPECT_EQ(chunks[1].fused.k, 4);
@@ -381,7 +385,8 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
 
     auto engine = fused_kernel.createServingEngine(queries[0], 1);
     engine->attachFaultInjector(injector);
-    EXPECT_THROW(engine->runFusedBatch(queries, 4), sim::TransientFault);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 0, 4),
+                 sim::TransientFault);
     EXPECT_EQ(injector->stats().transientsFired, 1);
     EXPECT_EQ(engine->queriesServed(), 0);
 
@@ -389,10 +394,8 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
     // clean per-pass accounting: the first query pays full drive again
     // (bit-identical to serial), later queries amortize it.
     engine->attachFaultInjector(nullptr);
-    std::vector<core::FusedBatchResult> chunks =
-        engine->runFusedBatch(queries, 4);
-    ASSERT_EQ(chunks.size(), 1u);
-    const core::FusedBatchResult &chunk = chunks[0];
+    const core::FusedBatchResult chunk =
+        engine->serveFusedChunk(queries, 0, 4);
     ASSERT_EQ(chunk.results.size(), 4u);
     EXPECT_EQ(chunk.results[0].perf.queryEnergyPj,
               serial_results[0].perf.queryEnergyPj);
@@ -454,11 +457,20 @@ TEST(FusedBatch, AbortedSessionBatchRecordsNothing)
 
 TEST(FusedBatch, EngineRejectsBadWidth)
 {
+    // An empty or out-of-range chunk is rejected and records nothing;
+    // the engine keeps serving afterwards.
     auto stored = randomRows(8, 64, 67);
     core::CompiledKernel kernel = compileDotKernel(8, 64);
     auto stored_buf = rt::Buffer::fromMatrix(stored);
-    auto engine = kernel.createServingEngine(
-        {rt::Buffer::fromMatrix({stored[0]}), stored_buf}, 1);
-    EXPECT_THROW(engine->runFusedBatch({}, 0), CompilerError);
-    EXPECT_EQ(engine->runFusedBatch({}, 4).size(), 0u);
+    std::vector<std::vector<rt::BufferPtr>> queries{
+        {rt::Buffer::fromMatrix({stored[0]}), stored_buf},
+        {rt::Buffer::fromMatrix({stored[1]}), stored_buf}};
+    auto engine = kernel.createServingEngine(queries[0], 1);
+    EXPECT_THROW(engine->serveFusedChunk({}, 0, 0), CompilerError);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 1, 1), CompilerError);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 1, 3), CompilerError);
+    EXPECT_EQ(engine->queriesServed(), 0);
+    EXPECT_EQ(engine->stats().aggregate.queriesServed, 0);
+    EXPECT_EQ(engine->serveFusedChunk(queries, 0, 2).results.size(), 2u);
+    EXPECT_EQ(engine->queriesServed(), 2);
 }

@@ -2,16 +2,18 @@
  * @file
  * Parallel serving engine: concurrency-determinism invariants.
  *
- * Locks the serving contract of ISSUE 3: N worker threads x M queries
- * through a ServingEngine produce per-query outputs and cost reports
- * bit-identical to a serial ExecutionSession replay of the same
- * stream, on both the device path and the host-only fallback; the
- * aggregate pays setup exactly once.
+ * Locks the serving contract: N caller threads x M queries through
+ * ServingEngine::serve (or the AsyncServingEngine in front of it)
+ * produce per-query outputs and cost reports bit-identical to a serial
+ * ExecutionSession replay of the same stream, on both the device path
+ * and the host-only fallback; the aggregate pays setup exactly once.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "apps/Workloads.h"
@@ -94,6 +96,27 @@ makeBatches(const std::vector<std::vector<float>> &stored,
     return batches;
 }
 
+/** Serve @p batches from @p threads caller threads pulling indices off
+ *  a shared cursor; results land in input order. */
+std::vector<core::ExecutionResult>
+serveFromThreads(core::ServingEngine &engine,
+                 const std::vector<std::vector<rt::BufferPtr>> &batches,
+                 int threads)
+{
+    std::vector<core::ExecutionResult> results(batches.size());
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < threads; ++t)
+        callers.emplace_back([&] {
+            for (std::size_t idx = cursor.fetch_add(1);
+                 idx < batches.size(); idx = cursor.fetch_add(1))
+                results[idx] = engine.serve(batches[idx]);
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    return results;
+}
+
 } // namespace
 
 TEST(ServingEngine, FourThreadsMatchSerialSessionBitForBit)
@@ -110,7 +133,8 @@ TEST(ServingEngine, FourThreadsMatchSerialSessionBitForBit)
     auto engine = kernel.createServingEngine(batches[0], 4);
     EXPECT_TRUE(engine->persistent());
     EXPECT_EQ(engine->numReplicas(), 4);
-    std::vector<core::ExecutionResult> served = engine->runBatch(batches);
+    std::vector<core::ExecutionResult> served =
+        serveFromThreads(*engine, batches, 4);
 
     ASSERT_EQ(served.size(), serial.size());
     for (std::size_t q = 0; q < served.size(); ++q) {
@@ -143,7 +167,8 @@ TEST(ServingEngine, HostOnlyPathMatchesSerialSession)
 
     auto engine = kernel.createServingEngine(batches[0], 3);
     EXPECT_FALSE(engine->persistent());
-    std::vector<core::ExecutionResult> served = engine->runBatch(batches);
+    std::vector<core::ExecutionResult> served =
+        serveFromThreads(*engine, batches, 3);
 
     ASSERT_EQ(served.size(), serial.size());
     for (std::size_t q = 0; q < served.size(); ++q) {
@@ -162,8 +187,8 @@ TEST(ServingEngine, SubmitFuturesServeConcurrently)
     core::CompiledKernel kernel =
         compileDotKernel(ArchSpec::dseSetup(32, OptTarget::Base), 1, 8, 64);
     auto stored_buf = rt::Buffer::fromMatrix(stored);
-    auto engine = kernel.createServingEngine(
-        {rt::Buffer::fromMatrix({stored[0]}), stored_buf}, 2);
+    auto engine = kernel.createAsyncServingEngine(
+        {rt::Buffer::fromMatrix({stored[0]}), stored_buf}, 2, {});
 
     // Fire all queries asynchronously, then join: answers arrive in
     // submission slots regardless of completion order.
@@ -179,7 +204,8 @@ TEST(ServingEngine, SubmitFuturesServeConcurrently)
         EXPECT_EQ(r.outputs[1].asBuffer()->atInt({0, 0}), i % 8)
             << "query " << i;
     }
-    EXPECT_EQ(engine->queriesServed(), 16);
+    engine->drain();
+    EXPECT_EQ(engine->backend().queriesServed(), 16);
 }
 
 TEST(ServingEngine, StatsReportThroughputAndLatency)
@@ -196,7 +222,7 @@ TEST(ServingEngine, StatsReportThroughputAndLatency)
     EXPECT_EQ(before.qps, 0.0);
     EXPECT_EQ(before.p50LatencyUs, 0.0);
 
-    engine->runBatch(batches);
+    serveFromThreads(*engine, batches, 2);
     core::ServingStats stats = engine->stats();
     EXPECT_EQ(stats.queriesServed, 10);
     EXPECT_GT(stats.wallSeconds, 0.0);
@@ -214,12 +240,17 @@ TEST(ServingEngine, ThreadCapLimitsConcurrencyButNotResults)
     auto stored_buf = rt::Buffer::fromMatrix(stored);
     auto batches = makeBatches(stored, stored_buf, 9);
 
-    auto engine = kernel.createServingEngine(batches[0], 4);
-    std::vector<core::ExecutionResult> capped =
-        engine->runBatch(batches, /*threads=*/1);
+    // Four replicas, one dispatcher: serving is serial, answers are not
+    // affected.
+    core::AsyncServingOptions options;
+    options.dispatchers = 1;
+    auto engine = kernel.createAsyncServingEngine(batches[0], 4, options);
+    EXPECT_EQ(engine->backend().concurrency(), 4);
+    EXPECT_EQ(engine->numDispatchers(), 1);
+    auto capped = engine->submitBatch(batches);
     ASSERT_EQ(capped.size(), 9u);
     for (std::size_t q = 0; q < capped.size(); ++q)
-        EXPECT_EQ(capped[q].outputs[1].asBuffer()->atInt({0, 0}),
+        EXPECT_EQ(capped[q].get().outputs[1].asBuffer()->atInt({0, 0}),
                   static_cast<std::int64_t>(q % 8));
 }
 
@@ -235,12 +266,14 @@ TEST(ServingEngine, ValidatesArgumentsUpFront)
     EXPECT_THROW(kernel.createServingEngine({query, stored_buf}, 0),
                  CompilerError);
 
-    auto engine = kernel.createServingEngine({query, stored_buf}, 2);
+    auto engine =
+        kernel.createAsyncServingEngine({query, stored_buf}, 2, {});
     EXPECT_THROW(engine->submit({query}), CompilerError);
     // A bad batch fails before any query is enqueued.
-    EXPECT_THROW(engine->runBatch({{query, stored_buf}, {stored_buf}}),
+    EXPECT_THROW(engine->submitBatch({{query, stored_buf}, {stored_buf}}),
                  CompilerError);
-    EXPECT_EQ(engine->queriesServed(), 0);
+    engine->drain();
+    EXPECT_EQ(engine->backend().queriesServed(), 0);
     // The engine stays usable after rejected calls.
     core::ExecutionResult r =
         engine->submit({query, stored_buf}).get();
@@ -264,7 +297,8 @@ TEST(ServingEngine, EuclideanKernelServesInParallel)
     std::vector<core::ExecutionResult> serial = session.runBatch(batches);
 
     auto engine = kernel.createServingEngine(batches[0], 3);
-    std::vector<core::ExecutionResult> served = engine->runBatch(batches);
+    std::vector<core::ExecutionResult> served =
+        serveFromThreads(*engine, batches, 3);
     for (std::size_t q = 0; q < served.size(); ++q) {
         for (std::size_t i = 0; i < served[q].outputs.size(); ++i)
             expectBuffersEqual(served[q].outputs[i], serial[q].outputs[i]);

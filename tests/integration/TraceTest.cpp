@@ -295,8 +295,7 @@ TEST(TraceIntegration, SyncEngineServeCreatesItsOwnRootSpans)
     engine->enableTracing(&collector);
     EXPECT_EQ(engine->traceCollector(), &collector);
 
-    core::ExecutionResult result =
-        engine->submit(workload().queryFor(3)).get();
+    core::ExecutionResult result = engine->serve(workload().queryFor(3));
     (void)result;
 
     auto queries = groupByQuery(collector.snapshot());

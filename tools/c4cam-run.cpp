@@ -17,25 +17,26 @@
  * query batches are executed against it, reporting per-query and
  * amortized figures (paper §III-D setup/search split).
  *
- * With --batch N --threads T the batch is served through a
- * core::ServingEngine instead: the programmed device is replicated T
- * times and queries are drained by T worker threads, additionally
- * reporting host qps and p50/p95 serving latency. Per-query simulated
- * cost is identical to the serial session either way.
- *
  * With --batch N --async the batch is served through the asynchronous
- * front-end (core::AsyncServingEngine): submissions flow through a
- * bounded queue (--queue-depth, default 64) with an overflow policy
- * (--policy block|reject|drop-oldest, default block) into dispatcher
- * threads that micro-batch up to --fuse-k queries (default 8) into
- * fused device windows when the queue runs deep. Reports the same
- * figures plus the enqueue-wait vs execute latency split and the
- * admission/fusion counters. Per-query simulated cost stays identical
- * to the serial session here too.
+ * front-end (core::AsyncServingEngine) over --threads T programmed
+ * device replicas: submissions flow through a bounded queue
+ * (--queue-depth, default 64) with an overflow policy (--policy
+ * block|reject|drop-oldest, default block) into dispatcher threads
+ * that micro-batch up to --fuse-k queries (default 8) into fused
+ * device windows when the queue runs deep. Reports host qps, the
+ * enqueue-wait vs execute latency split and the admission/fusion
+ * counters. Per-query simulated cost stays identical to the serial
+ * session.
+ *
+ * With --batch N --threads T (T > 1) but neither --async nor --shards
+ * the batch takes the same async path with the default queue and
+ * micro-batching off (--fuse-k 1): every query is served alone on one
+ * of the T replicas, so a transient fault is retried inside that
+ * query's serve instead of aborting a fused window.
  *
  * With --batch N --trace-out FILE the run additionally records
  * per-query lifecycle spans (support::TraceCollector) through
- * whichever serving path was chosen -- serial session, threaded
+ * whichever serving path was chosen -- serial session, sharded
  * engine, or async front-end -- and writes the trace document (Chrome
  * trace_event + compact "spans" array) to FILE. Tracing never
  * perturbs outputs or PerfReports.
@@ -528,18 +529,22 @@ main(int argc, char **argv)
             long long first_index = 0;
             sim::PerfReport total;
             bool persistent = false;
-            if (use_async) {
+            if (use_async || (threads > 1 && !shards_seen)) {
                 // Async front-end: bounded submission queue with the
                 // chosen overflow policy feeding `threads` replicas;
                 // under the default block policy the queue bound IS
                 // the submission backpressure, so all batches can be
-                // submitted eagerly.
+                // submitted eagerly. Plain --threads serves every
+                // query alone, so a transient fault is recovered (and
+                // counted) by serve()'s retry loop instead of aborting
+                // a fused window whose members are then re-served.
                 async_options.queueCapacity =
                     static_cast<std::size_t>(queue_depth);
-                async_options.fuseMaxK = static_cast<int>(fuse_k);
+                async_options.fuseMaxK =
+                    use_async ? static_cast<int>(fuse_k) : 1;
                 async_options.trace = collector.get();
                 async_options.deadlineUs = deadline_us;
-                std::unique_ptr<core::AsyncServingEngine> engine;
+                std::unique_ptr<core::QueryBackend> backend;
                 if (shards_seen) {
                     // Sharded backend behind the async front-end:
                     // same queue/fusion semantics, every dispatch
@@ -551,20 +556,18 @@ main(int argc, char **argv)
                     sharding.retryPolicy = retry_policy;
                     sharding.faultInjector = injector;
                     sharding.allowDegraded = allow_degraded;
-                    engine = std::make_unique<core::AsyncServingEngine>(
-                        std::make_unique<core::ShardedEngine>(
-                            options, source, args, sharding),
-                        async_options);
+                    backend = std::make_unique<core::ShardedEngine>(
+                        options, source, args, sharding);
                 } else {
-                    engine = kernel.createAsyncServingEngine(
-                        args, static_cast<int>(threads), async_options);
-                    if (auto *se = dynamic_cast<core::ServingEngine *>(
-                            &engine->backend())) {
-                        se->setRetryPolicy(retry_policy);
-                        if (injector)
-                            se->attachFaultInjector(injector);
-                    }
+                    auto replicas = kernel.createServingEngine(
+                        args, static_cast<int>(threads));
+                    replicas->setRetryPolicy(retry_policy);
+                    if (injector)
+                        replicas->attachFaultInjector(injector);
+                    backend = std::move(replicas);
                 }
+                auto engine = std::make_unique<core::AsyncServingEngine>(
+                    std::move(backend), async_options);
                 std::deque<std::future<core::ExecutionResult>> inflight;
                 long long ok = 0;
                 long long front_index = 0; // batch index of the front
@@ -749,49 +752,6 @@ main(int argc, char **argv)
                     if (persistent)
                         std::cout << "setup: "
                                   << engine.setupReport().str() << "\n";
-                }
-            } else if (threads > 1) {
-                // Parallel serving on `threads` programmed replicas;
-                // at most 2x threads submissions stay in flight.
-                auto engine = kernel.createServingEngine(
-                    args, static_cast<int>(threads));
-                engine->setRetryPolicy(retry_policy);
-                if (injector)
-                    engine->attachFaultInjector(injector);
-                if (collector)
-                    engine->enableTracing(collector.get());
-                std::deque<std::future<core::ExecutionResult>> inflight;
-                long long harvested = 0; // futures drain in FIFO order
-                auto harvest_front = [&] {
-                    core::ExecutionResult done = inflight.front().get();
-                    inflight.pop_front();
-                    if (harvested++ == 0)
-                        first = std::move(done);
-                };
-                for (long long b = 0; b < batch; ++b) {
-                    inflight.push_back(
-                        engine->submit(make_batch_args(b)));
-                    if (inflight.size() >
-                        static_cast<std::size_t>(2 * threads))
-                        harvest_front();
-                }
-                while (!inflight.empty())
-                    harvest_front();
-                core::ServingStats stats = engine->stats();
-                total = stats.aggregate;
-                persistent = engine->persistent();
-                if (!json) {
-                    std::cout << "serving: " << engine->numReplicas()
-                              << " replicas, " << stats.qps
-                              << " queries/sec host throughput, p50 "
-                              << stats.p50LatencyUs << " us, p95 "
-                              << stats.p95LatencyUs << " us\n";
-                    if (chaos)
-                        std::cout << "recovery: " << stats.retries
-                                  << " retries\n";
-                    if (persistent)
-                        std::cout << "setup: "
-                                  << engine->setupReport().str() << "\n";
                 }
             } else {
                 // Serial path: one reused session, one batch at a time.
