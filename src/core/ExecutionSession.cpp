@@ -85,12 +85,12 @@ ExecutionSession::clone() const
     copy.setupReport_ = setupReport_;
     if (persistent_) {
         // The clone copies the programmed cells, the setup accounting
-        // and the handle numbering, so a copied slot frame (setup
+        // and the handle numbering, so a forked slot frame (setup
         // results are immutable once programmed) or a forked
         // interpreter state keeps addressing the right subarrays.
         copy.device_ = device_->cloneProgrammed();
         if (plan_)
-            copy.frame_ = frame_;
+            copy.frame_ = plan_->forkFrame(frame_);
         else
             copy.state_ = state_.forkForReplica(copy.device_.get());
     }

@@ -130,11 +130,12 @@ class ExecutionSession
 
     /**
      * Fork a programmed replica: a CamDevice::cloneProgrammed() copy
-     * of the device plus a copy of the post-setup slot frame (or a
-     * forked interpreter state in tree-walk mode). The clone serves
-     * bit-identically to this session, pays no simulated setup of its
-     * own and starts with a setup-only aggregate and tracing off.
-     * Call between queries.
+     * of the device plus an ExecutionPlan::forkFrame() of the
+     * post-setup slot frame, which shares no reusable buffer with this
+     * session's (or a forked interpreter state in tree-walk mode). The
+     * clone serves bit-identically to this session, pays no simulated
+     * setup of its own and starts with a setup-only aggregate and
+     * tracing off. Call between queries.
      */
     ExecutionSession clone() const;
 

@@ -1,6 +1,6 @@
 #include "runtime/Buffer.h"
 
-#include <functional>
+#include <algorithm>
 #include <sstream>
 
 namespace c4cam::rt {
@@ -29,16 +29,13 @@ std::shared_ptr<Buffer>
 Buffer::fromMatrix(const std::vector<std::vector<float>> &rows)
 {
     C4CAM_CHECK(!rows.empty(), "fromMatrix: empty data");
-    auto buf = alloc(DType::F32,
-                     {static_cast<std::int64_t>(rows.size()),
-                      static_cast<std::int64_t>(rows[0].size())});
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        C4CAM_CHECK(rows[r].size() == rows[0].size(),
-                    "fromMatrix: ragged rows");
-        for (std::size_t c = 0; c < rows[r].size(); ++c)
-            buf->set({static_cast<std::int64_t>(r),
-                      static_cast<std::int64_t>(c)},
-                     rows[r][c]);
+    const std::size_t cols = rows[0].size();
+    auto buf = alloc(DType::F32, {static_cast<std::int64_t>(rows.size()),
+                                  static_cast<std::int64_t>(cols)});
+    auto out = buf->storage_->begin();
+    for (const std::vector<float> &row : rows) {
+        C4CAM_CHECK(row.size() == cols, "fromMatrix: ragged rows");
+        out = std::copy(row.begin(), row.end(), out);
     }
     return buf;
 }
@@ -87,24 +84,45 @@ std::shared_ptr<Buffer>
 Buffer::subview(const std::vector<std::int64_t> &offsets,
                 const std::vector<std::int64_t> &sizes) const
 {
-    C4CAM_ASSERT(offsets.size() == shape_.size() &&
-                     sizes.size() == shape_.size(),
-                 "subview rank mismatch");
     auto view = create();
-    view->dtype_ = dtype_;
-    view->shape_ = sizes;
-    view->strides_ = strides_;
-    view->offset_ = offset_;
-    view->storage_ = storage_;
+    view->assignSubview(*this, offsets, sizes);
+    return view;
+}
+
+void
+Buffer::assignSubview(const Buffer &base,
+                      const std::vector<std::int64_t> &offsets,
+                      const std::vector<std::int64_t> &sizes)
+{
+    // Everything is read from base before this view changes: base may
+    // be this very object.
+    C4CAM_ASSERT(offsets.size() == base.shape_.size() &&
+                     sizes.size() == base.shape_.size(),
+                 "subview rank mismatch");
+    std::int64_t offset = base.offset_;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         C4CAM_ASSERT(offsets[i] >= 0 && sizes[i] >= 0 &&
-                         offsets[i] + sizes[i] <= shape_[i],
+                         offsets[i] + sizes[i] <= base.shape_[i],
                      "subview window [" << offsets[i] << ", "
                      << offsets[i] + sizes[i] << ") outside dim " << i
-                     << " extent " << shape_[i]);
-        view->offset_ += offsets[i] * strides_[i];
+                     << " extent " << base.shape_[i]);
+        offset += offsets[i] * base.strides_[i];
     }
-    return view;
+    dtype_ = base.dtype_;
+    strides_ = base.strides_;
+    shape_ = sizes;
+    offset_ = offset;
+    if (storage_ != base.storage_)
+        storage_ = base.storage_;
+}
+
+double *
+Buffer::soleDenseStorage(DType dtype, std::int64_t n)
+{
+    if (dtype_ != dtype || shape_.size() != 1 || shape_[0] != n ||
+        strides_[0] != 1 || storage_.use_count() != 1)
+        return nullptr;
+    return storage_->data() + offset_;
 }
 
 namespace {
@@ -194,14 +212,25 @@ Buffer::copyFromFlat(const std::vector<double> &flat)
 }
 
 void
-Buffer::addFromFlat(const std::vector<double> &flat)
+Buffer::addFrom(const Buffer &src)
 {
-    C4CAM_ASSERT(flat.size() == static_cast<std::size_t>(numElements()),
-                 "addFromFlat element count mismatch: " << flat.size()
+    C4CAM_ASSERT(src.numElements() == numElements(),
+                 "addFrom element count mismatch: " << src.numElements()
                  << " vs " << numElements());
+    // A dense source that shares no storage with this view is read in
+    // place; otherwise snapshot it first, so an aliasing source is
+    // read before any element of it is written.
+    std::vector<double> snapshot;
+    const double *from = nullptr;
+    if (src.isContiguous() && src.storage_ != storage_) {
+        from = src.storage_->data() + src.offset_;
+    } else {
+        src.readInto(snapshot);
+        from = snapshot.data();
+    }
     std::size_t i = 0;
     forEachLinear([&](std::size_t linear) {
-        (*storage_)[linear] += flat[i++];
+        (*storage_)[linear] += from[i++];
     });
 }
 

@@ -68,6 +68,24 @@ class Buffer
                                     const std::vector<std::int64_t> &sizes)
         const;
 
+    /**
+     * Re-point this view at base.subview(@p offsets, @p sizes) in
+     * place, keeping the capacity of its shape and stride vectors.
+     * Same bounds checks as subview(); @p base may be this view. Only
+     * for a view nobody else holds: plan replay re-points the view in
+     * a frame slot when the slot is its only owner.
+     */
+    void assignSubview(const Buffer &base,
+                       const std::vector<std::int64_t> &offsets,
+                       const std::vector<std::int64_t> &sizes);
+
+    /**
+     * The elements of a dense rank-1 @p dtype buffer of @p n elements
+     * whose storage no other view shares; nullptr when this buffer is
+     * anything else. Plan replay writes cam.read results through it.
+     */
+    double *soleDenseStorage(DType dtype, std::int64_t n);
+
     /** Deep-copy @p src into this view (shapes must match). */
     void copyFrom(const Buffer &src);
 
@@ -81,8 +99,11 @@ class Buffer
      */
     void copyFromFlat(const std::vector<double> &flat);
 
-    /** Elementwise accumulate @p flat into this view (row-major). */
-    void addFromFlat(const std::vector<double> &flat);
+    /**
+     * Elementwise accumulate @p src into this view, both walked in
+     * row-major order; element counts must match.
+     */
+    void addFrom(const Buffer &src);
 
     /** Flatten this view into a dense row-major vector of doubles. */
     std::vector<double> toVector() const;

@@ -1,6 +1,7 @@
 #include "runtime/ExecutionPlan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <unordered_set>
@@ -792,11 +793,14 @@ class PlanBuilder
             return;
         }
         if (name == camd::kMergePartialSubarray) {
-            // (sub, acc, partial): acc += partial in place.
+            // (sub, acc, partial): acc += partial in place. The result
+            // aliases acc; an unread one is not stored, so the slot
+            // does not pin the accumulator view (replay re-points that
+            // view per tile only while its slot is the sole owner).
             Instr &i = emit(Opcode::CamMergePartialSub);
             i.a = use(op, 1);
             i.b = use(op, 2);
-            i.r = def(op);
+            i.r = op->result(0)->hasUses() ? def(op) : -1;
             return;
         }
         throwUnknownOp("plan compiler", op);
@@ -840,6 +844,24 @@ ExecutionPlan::makeFrame() const
     PlanFrame frame;
     frame.slots.resize(static_cast<std::size_t>(numSlots_));
     return frame;
+}
+
+PlanFrame
+ExecutionPlan::forkFrame(const PlanFrame &frame) const
+{
+    PlanFrame fork;
+    fork.slots = frame.slots;
+    fork.nextCimHandle = frame.nextCimHandle;
+    // Every slot the query phase writes is rewritten before it is read,
+    // so the fork starts those empty: replay reuses buffers in place
+    // only from such slots, and two frames must never share one.
+    for (const Instr &inst : program(phased_ ? ExecPhase::QueryOnly
+                                             : ExecPhase::Full))
+        for (std::int32_t slot : {inst.r, inst.r2})
+            if (slot >= 0 &&
+                static_cast<std::size_t>(slot) < fork.slots.size())
+                fork.slots[static_cast<std::size_t>(slot)] = RtValue();
+    return fork;
 }
 
 //
@@ -903,6 +925,9 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     std::vector<std::int64_t> sizes;
     std::vector<double> query_stage;
     std::vector<float> query_floats;
+    // The query view of a FusedSubviewSearch that stores none (r = -1):
+    // one view object per run(), re-pointed for every tile.
+    RtValue local_view;
 
     auto slotInt = [&s](std::int32_t slot) {
         return s[static_cast<std::size_t>(slot)].asInt();
@@ -929,6 +954,41 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                               ? s[static_cast<std::size_t>(dim.slot)]
                                     .asInt()
                               : dim.imm);
+    };
+    // A buffer in @p dst may be rewritten in place only when @p dst is
+    // its sole owner: nothing returned, copied to another slot or held
+    // by another frame (ExecutionPlan::forkFrame) can see the write.
+    auto soleOwned = [](const RtValue &dst) {
+        if (!dst.isBuffer() || dst.asBuffer().use_count() != 1)
+            return false;
+        // The use count may have dropped on another thread (a caller
+        // releasing a result); order that release before our writes.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        return true;
+    };
+    // dst = base[slice], re-pointing the view already in dst when it
+    // is solely owned instead of allocating a new one.
+    auto subviewInto = [&](RtValue &dst, std::int32_t base_slot,
+                           const SliceSpec &spec) -> const Buffer & {
+        resolveSlice(spec.offsets, offsets);
+        resolveSlice(spec.sizes, sizes);
+        const Buffer &base = *slotBuf(base_slot);
+        if (soleOwned(dst))
+            dst.asBuffer()->assignSubview(base, offsets, sizes);
+        else
+            dst = RtValue(base.subview(offsets, sizes));
+        return *dst.asBuffer();
+    };
+    // The element storage of the rank-1 dtype/n read-out buffer in
+    // @p dst: the one already there when it is solely owned and fits,
+    // else a fresh buffer stored into dst.
+    auto readOutInto = [&](RtValue &dst, DType dtype,
+                           std::int64_t n) -> double * {
+        if (soleOwned(dst))
+            if (double *data = dst.asBuffer()->soleDenseStorage(dtype, n))
+                return data;
+        dst = RtValue(Buffer::alloc(dtype, {n}));
+        return dst.asBuffer()->soleDenseStorage(dtype, n);
     };
     auto evalCmpI = [](std::int64_t a, std::int64_t b,
                        std::int64_t pred) -> bool {
@@ -1112,15 +1172,10 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CopyBuf:
             host::copyInto(slotBuf(inst.a), slotBuf(inst.b));
             break;
-          case Opcode::Subview: {
-            const SliceSpec &spec =
-                slices_[static_cast<std::size_t>(inst.aux)];
-            resolveSlice(spec.offsets, offsets);
-            resolveSlice(spec.sizes, sizes);
-            put(inst.r,
-                RtValue(slotBuf(inst.a)->subview(offsets, sizes)));
+          case Opcode::Subview:
+            subviewInto(s[static_cast<std::size_t>(inst.r)], inst.a,
+                        slices_[static_cast<std::size_t>(inst.aux)]);
             break;
-          }
           case Opcode::LoadF: {
             index.clear();
             for (std::int32_t slot : inst.extra)
@@ -1286,20 +1341,17 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CamRead: {
             const sim::SearchResult &result =
                 requireDevice()->read(slotInt(inst.a));
-            std::int64_t n =
-                static_cast<std::int64_t>(result.values.size());
-            auto values = Buffer::alloc(DType::F32, {n});
-            auto indices = Buffer::alloc(DType::I64, {n});
-            index.assign(1, 0);
-            for (std::int64_t i = 0; i < n; ++i) {
-                index[0] = i;
-                values->set(index,
-                            result.values[static_cast<std::size_t>(i)]);
-                indices->setInt(
-                    index, result.indices[static_cast<std::size_t>(i)]);
+            const std::size_t n = result.values.size();
+            double *values =
+                readOutInto(s[static_cast<std::size_t>(inst.r)], DType::F32,
+                            static_cast<std::int64_t>(n));
+            double *indices =
+                readOutInto(s[static_cast<std::size_t>(inst.r2)],
+                            DType::I64, static_cast<std::int64_t>(n));
+            for (std::size_t i = 0; i < n; ++i) {
+                values[i] = result.values[i];
+                indices[i] = static_cast<double>(result.indices[i]);
             }
-            put(inst.r, RtValue(values));
-            put(inst.r2, RtValue(indices));
             break;
           }
           case Opcode::CamMergePartialSub: {
@@ -1308,7 +1360,8 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             host::addInto(acc, partial);
             requireDevice()->postMerge(
                 static_cast<int>(acc->numElements()));
-            put(inst.r, s[static_cast<std::size_t>(inst.a)]);
+            if (inst.r >= 0)
+                put(inst.r, s[static_cast<std::size_t>(inst.a)]);
             break;
           }
 
@@ -1371,14 +1424,10 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             pc = static_cast<std::size_t>(inst.target);
             continue;
           case Opcode::FusedSubviewSearch: {
-            const SliceSpec &spec =
-                slices_[static_cast<std::size_t>(inst.aux)];
-            resolveSlice(spec.offsets, offsets);
-            resolveSlice(spec.sizes, sizes);
-            const BufferPtr query =
-                slotBuf(inst.b)->subview(offsets, sizes);
-            if (inst.r >= 0)
-                put(inst.r, RtValue(query));
+            const Buffer &query = subviewInto(
+                inst.r >= 0 ? s[static_cast<std::size_t>(inst.r)]
+                            : local_view,
+                inst.b, slices_[static_cast<std::size_t>(inst.aux)]);
             const SearchSpec &srch =
                 searches_[static_cast<std::size_t>(inst.imm)];
             sim::Handle sub = slotInt(inst.a);
@@ -1389,7 +1438,7 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             int row_end = srch.rowEndSlot >= 0
                               ? static_cast<int>(slotInt(srch.rowEndSlot))
                               : srch.rowEnd;
-            query->readInto(query_stage);
+            query.readInto(query_stage);
             query_floats.assign(query_stage.begin(), query_stage.end());
             requireDevice()->search(
                 sub, query_floats,

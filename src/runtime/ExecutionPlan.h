@@ -31,6 +31,15 @@
  * into the query replays exactly like the interpreter's persistent
  * SSA environment.
  *
+ * Replay reuses the buffers it made for the previous tile or query:
+ * a subview re-points the view object already in its result slot, and
+ * cam.read writes into the read-out buffers already in its slots, but
+ * only while the slot is the object's sole owner. A buffer that was
+ * returned, copied into another slot or is held by another frame is
+ * never written; the steady-state query phase of a lowered kernel
+ * then allocates nothing per tile. The reuse state is the frame's own
+ * slots (plus run() locals), never the shared const plan.
+ *
  * Replay is semantically identical to the tree walk by construction:
  * both back ends share the host tensor kernels (runtime/HostKernels.h)
  * and drive the CamDevice through the same call sequence, so outputs
@@ -225,9 +234,9 @@ struct Instr
 /**
  * All mutable state of one plan-based execution: the dense slot frame
  * (the counterpart of ExecutionState's SSA environment) and the
- * cim-handle counter. Forking a post-setup frame for a device replica
- * is a plain copy: setup-phase results are immutable once programmed,
- * exactly like ExecutionState::forkForReplica.
+ * cim-handle counter. The slots also hold the buffers replay reuses,
+ * so a device replica forks a post-setup frame with
+ * ExecutionPlan::forkFrame(), never by plain copy.
  */
 struct PlanFrame
 {
@@ -262,6 +271,14 @@ class ExecutionPlan
 
     /** A fresh frame sized for this plan's slot count. */
     PlanFrame makeFrame() const;
+
+    /**
+     * A device replica's frame forked from post-setup @p frame: the
+     * setup-phase results are shared (immutable once programmed), and
+     * every slot the query phase writes starts empty, so the two
+     * frames hold no buffer that replay may reuse in place.
+     */
+    PlanFrame forkFrame(const PlanFrame &frame) const;
 
     /**
      * Replay phase @p phase with @p args (one RtValue per function

@@ -178,7 +178,7 @@ addInto(const BufferPtr &acc, const BufferPtr &partial, const char *what)
     C4CAM_CHECK(acc->numElements() == partial->numElements(),
                 what << " size mismatch: " << acc->numElements() << " vs "
                 << partial->numElements());
-    acc->addFromFlat(partial->toVector());
+    acc->addFrom(*partial);
 }
 
 std::pair<BufferPtr, BufferPtr>

@@ -1,5 +1,7 @@
 #include "sim/CamDevice.h"
 
+#include <utility>
+
 #include "sim/FaultInjector.h"
 #include "support/Error.h"
 
@@ -19,9 +21,13 @@ CamDevice::CamDevice(const CamDevice &other)
       fusionModel_(other.fusionModel_)
 {
     // Deep-copy the programmed cell contents; the clone must never
-    // alias the original's subarrays.
-    for (const auto &[handle, sub] : other.storage_)
-        storage_.emplace(handle, std::make_unique<CamSubarray>(*sub));
+    // alias the original's subarrays. Search results are not copied:
+    // the replica has none to read until it searches.
+    subarrays_.resize(other.subarrays_.size());
+    for (std::size_t h = 0; h < other.subarrays_.size(); ++h)
+        if (other.subarrays_[h])
+            subarrays_[h] = std::make_unique<SubarrayUnit>(
+                SubarrayUnit{other.subarrays_[h]->cells, {}, 0});
     // window_ stays default-constructed: the replica starts with a
     // fresh query window on top of the copied setup accounting.
     timing_.beginQueryWindow();
@@ -160,9 +166,11 @@ CamDevice::allocSubarray(Handle array_handle)
     hi.sub = array.subarrays.size();
     Handle handle = newHandle(hi);
     array.subarrays.push_back(handle);
-    storage_.emplace(handle, std::make_unique<CamSubarray>(
-                                 banks_[ah.bank].rows, banks_[ah.bank].cols,
-                                 spec_.camType, spec_.bitsPerCell));
+    subarrays_.resize(handles_.size());
+    subarrays_.back() = std::make_unique<SubarrayUnit>(SubarrayUnit{
+        CamSubarray(banks_[ah.bank].rows, banks_[ah.bank].cols,
+                    spec_.camType, spec_.bitsPerCell),
+        {}, 0});
     ++subarrayCount_;
     return handle;
 }
@@ -188,14 +196,26 @@ CamDevice::subarrayAt(std::int64_t bank, std::int64_t mat,
     return a.subarrays[static_cast<std::size_t>(sub)];
 }
 
+const CamDevice::SubarrayUnit &
+CamDevice::unit(Handle handle) const
+{
+    info(handle, HandleKind::Subarray);
+    const std::unique_ptr<SubarrayUnit> &u =
+        subarrays_[static_cast<std::size_t>(handle)];
+    C4CAM_ASSERT(u, "subarray handle " << handle << " has no storage");
+    return *u;
+}
+
+CamDevice::SubarrayUnit &
+CamDevice::unit(Handle handle)
+{
+    return const_cast<SubarrayUnit &>(std::as_const(*this).unit(handle));
+}
+
 CamSubarray &
 CamDevice::subarray(Handle handle)
 {
-    info(handle, HandleKind::Subarray);
-    auto it = storage_.find(handle);
-    C4CAM_ASSERT(it != storage_.end(),
-                 "subarray handle " << handle << " has no storage");
-    return *it->second;
+    return unit(handle).cells;
 }
 
 void
@@ -263,14 +283,16 @@ CamDevice::search(Handle subarray_handle, const std::vector<float> &query,
     double fault_latency_factor = 1.0;
     if (faults_)
         fault_latency_factor = faults_->onSearch(faultDevice_);
-    CamSubarray &sub = subarray(subarray_handle);
+    SubarrayUnit &u = unit(subarray_handle);
+    const CamSubarray &sub = u.cells;
     if (row_begin < 0)
         row_begin = 0;
     if (row_end < 0)
         row_end = sub.rows();
 
-    window_.lastResult[subarray_handle] =
-        sub.search(query, kind, euclidean, row_begin, row_end, threshold);
+    sub.search(query, kind, euclidean, row_begin, row_end, threshold,
+               u.lastResult, quantized_);
+    u.resultWindow = queryWindow_;
     ++window_.searches;
 
     // Every ML precharges each cycle; selective search confines the
@@ -305,15 +327,14 @@ CamDevice::search(Handle subarray_handle, const std::vector<float> &query,
 const SearchResult &
 CamDevice::read(Handle subarray_handle) const
 {
-    // Validate handle range/kind first so a bank/mat handle (or a
-    // bogus value) gets a handle diagnostic, not a misleading
-    // "no search yet" message or a raw std::out_of_range.
-    info(subarray_handle, HandleKind::Subarray);
-    auto it = window_.lastResult.find(subarray_handle);
-    C4CAM_CHECK(it != window_.lastResult.end(),
+    // unit() validates handle range/kind first so a bank/mat handle
+    // (or a bogus value) gets a handle diagnostic, not a misleading
+    // "no search yet" message.
+    const SubarrayUnit &u = unit(subarray_handle);
+    C4CAM_CHECK(u.resultWindow == queryWindow_,
                 "cam.read on subarray " << subarray_handle
                 << " before any cam.search was issued on it");
-    return it->second;
+    return u.lastResult;
 }
 
 void
@@ -341,11 +362,12 @@ CamDevice::beginQueryWindow()
     if (fusedActive_ && windowsSinceFused_ > 0)
         foldWindowIntoFused();
     timing_.beginQueryWindow();
-    // Replace the whole per-window object. This also drops last-search
-    // results: a read-before-search in the new window must be
-    // diagnosed exactly like on a fresh device, not silently served
-    // stale data from the previous query.
+    // Replace the whole per-window object, and advance the window
+    // number so last-search results go stale: a read-before-search in
+    // the new window must be diagnosed exactly like on a fresh device,
+    // not silently served stale data from the previous query.
     window_ = WindowState{};
+    ++queryWindow_;
     if (fusedActive_)
         ++windowsSinceFused_;
 }
@@ -406,6 +428,7 @@ CamDevice::abortQueryWindow()
     // Fresh window on top of the preserved setup accounting; the
     // timing engine's window was already reset by abortOpenScopes().
     window_ = WindowState{};
+    ++queryWindow_;
 }
 
 void

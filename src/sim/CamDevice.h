@@ -9,12 +9,16 @@
  * (paper §III-D2 "the cam operations are mapped to function calls of a
  * CAM simulator"). It combines the functional CamSubarray model with the
  * TechModel cost model and the scope-based TimingEngine.
+ *
+ * The query path allocates nothing once warm: subarrays sit in a
+ * vector indexed by handle, and each owns one reusable SearchResult
+ * stamped with the number of the query window that filled it, so
+ * search() and read() do no keyed lookup and starting a window
+ * clears no container.
  */
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -101,7 +105,11 @@ class CamDevice
                 int row_end = -1, double threshold = 0.0,
                 bool selective = false);
 
-    /** Read back the results of the last search on @p subarray. */
+    /**
+     * Read back the results of the last search on @p subarray in the
+     * current query window (diagnosed when there was none). The
+     * reference stays valid until the next search on that subarray.
+     */
     const SearchResult &read(Handle subarray) const;
     /// @}
 
@@ -118,12 +126,13 @@ class CamDevice
 
     /**
      * Start a fresh query accounting window: the per-window object
-     * (query-phase latency/energy totals, query-energy breakdown,
-     * search counter and last-search results) is replaced wholesale
-     * while all setup costs, programmed data and allocation state
-     * stay. A persistent execution session calls this before each
-     * query so that report() describes exactly one query on top of the
-     * shared setup -- matching a single-shot run bit-for-bit.
+     * (query-phase latency/energy totals, query-energy breakdown and
+     * search counter) is replaced wholesale and the window number
+     * advances, so no earlier search result is readable, while all
+     * setup costs, programmed data and allocation state stay. A
+     * persistent execution session calls this before each query so
+     * that report() describes exactly one query on top of the shared
+     * setup -- matching a single-shot run bit-for-bit.
      */
     void beginQueryWindow();
 
@@ -152,11 +161,11 @@ class CamDevice
      * Fault-recovery cleanup: unconditionally return the device to a
      * servable between-queries state after an exception unwound
      * mid-execution. Discards open timing scopes, any open fused
-     * window, and the partial query window; keeps all programmed data
-     * and setup accounting. The serving tier calls this on every
-     * failure path before releasing a replica back to the pool, so a
-     * retried query starts from the exact state a fault-free query
-     * would see.
+     * window, and the partial query window (its search results stop
+     * being readable); keeps all programmed data and setup
+     * accounting. The serving tier calls this on every failure path
+     * before releasing a replica back to the pool, so a retried query
+     * starts from the exact state a fault-free query would see.
      */
     void abortQueryWindow();
     /// @}
@@ -221,6 +230,9 @@ class CamDevice
         return static_cast<std::int64_t>(banks_.size());
     }
     std::int64_t numAllocatedSubarrays() const { return subarrayCount_; }
+
+    /** The cells of @p handle; the reference outlives later
+     *  allocations. */
     CamSubarray &subarray(Handle handle);
 
     /**
@@ -259,11 +271,11 @@ class CamDevice
     };
 
     /**
-     * Per-query-window device accounting: the query-energy breakdown,
-     * the search counter and the last-search results. Replaced as one
-     * object by beginQueryWindow() (the timing engine swaps its own
-     * QueryWindow in lockstep), so "reset" bugs where one counter is
-     * forgotten cannot happen.
+     * Per-query-window device accounting: the query-energy breakdown
+     * and the search counter. Replaced as one object by
+     * beginQueryWindow() (the timing engine swaps its own QueryWindow
+     * in lockstep), so "reset" bugs where one counter is forgotten
+     * cannot happen.
      */
     struct WindowState
     {
@@ -272,9 +284,16 @@ class CamDevice
         double senseEnergy = 0.0;
         double driveEnergy = 0.0;
         double mergeEnergy = 0.0;
-        /** Hash map: one insert per search is on the serving hot
-         *  path, and nothing iterates this container in key order. */
-        std::unordered_map<Handle, SearchResult> lastResult;
+    };
+
+    /** One allocated subarray: its cells and its last search. */
+    struct SubarrayUnit
+    {
+        CamSubarray cells;
+        /** Reused by every search on this subarray. */
+        SearchResult lastResult;
+        /** Query window that filled lastResult; 0 = none. */
+        std::uint64_t resultWindow = 0;
     };
 
     /** Deep copy for cloneProgrammed(). */
@@ -286,6 +305,8 @@ class CamDevice
     static const char *kindName(HandleKind kind);
     Handle newHandle(HandleInfo info);
     const HandleInfo &info(Handle handle, HandleKind expected) const;
+    const SubarrayUnit &unit(Handle handle) const;
+    SubarrayUnit &unit(Handle handle);
 
     arch::ArchSpec spec_;
     arch::TechModel tech_;
@@ -293,7 +314,13 @@ class CamDevice
 
     std::vector<Bank> banks_;
     std::vector<HandleInfo> handles_;
-    std::map<Handle, std::unique_ptr<CamSubarray>> storage_;
+    /** Indexed by handle; null for bank/mat/array handles. Units are
+     *  heap-held so references to them survive later allocations. */
+    std::vector<std::unique_ptr<SubarrayUnit>> subarrays_;
+    /** Quantized-query scratch of search(). */
+    std::vector<float> quantized_;
+    /** Number of the current query window (starts at 1). */
+    std::uint64_t queryWindow_ = 1;
 
     std::int64_t subarrayCount_ = 0;
     std::int64_t writtenSubarrays_ = 0;

@@ -72,10 +72,11 @@ CamSubarray::writeRanges(const std::vector<std::vector<CamCell>> &cells,
                             row_offset + static_cast<int>(cells.size()));
 }
 
-SearchResult
+void
 CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
                     bool euclidean, int row_begin, int row_end,
-                    double threshold) const
+                    double threshold, SearchResult &result,
+                    std::vector<float> &quantized) const
 {
     C4CAM_CHECK(row_begin >= 0 && row_end <= rows_ && row_begin <= row_end,
                 "search row window [" << row_begin << ", " << row_end
@@ -86,14 +87,19 @@ CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
 
     // The quantized query is broadcast to every row; hoist the
     // per-element rounding/clamping out of the row loop.
-    std::vector<float> quantized(query.size());
+    quantized.resize(query.size());
     for (std::size_t c = 0; c < query.size(); ++c)
         quantized[c] = quantize(query[c]);
 
-    SearchResult result;
+    result.values.clear();
+    result.indices.clear();
+    result.matchedRows.clear();
     result.values.reserve(static_cast<std::size_t>(row_end - row_begin));
     result.indices.reserve(static_cast<std::size_t>(row_end - row_begin));
-    double best = std::numeric_limits<double>::infinity();
+    // The minimum of the reported float values: a best match must flag
+    // the rows whose value equals it, even when the double distance is
+    // not exactly representable as a float.
+    float best = std::numeric_limits<float>::infinity();
     for (int r = row_begin; r < row_end; ++r) {
         double dist = 0.0;
         const std::vector<CamCell> &row = cells_[static_cast<std::size_t>(r)];
@@ -107,9 +113,10 @@ CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
                 dist += cell.matches(q) ? 0.0 : 1.0;
             }
         }
-        result.values.push_back(static_cast<float>(dist));
+        const float value = static_cast<float>(dist);
+        result.values.push_back(value);
         result.indices.push_back(r);
-        best = std::min(best, dist);
+        best = std::min(best, value);
     }
 
     for (std::size_t i = 0; i < result.values.size(); ++i) {
@@ -129,7 +136,6 @@ CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
         if (matched)
             result.matchedRows.push_back(result.indices[i]);
     }
-    return result;
 }
 
 } // namespace c4cam::sim

@@ -9,6 +9,11 @@
  * and range (threshold) matches under Hamming or Euclidean metrics
  * (paper §II-B). Selective row search [27] restricts the active row
  * window so multiple data batches can share one subarray.
+ *
+ * The serving path searches into a caller-owned SearchResult and
+ * quantize scratch (CamDevice keeps one result per subarray), so a
+ * steady-state search allocates nothing; the by-value search() is a
+ * thin wrapper for one-off callers.
  */
 
 #include <cstdint>
@@ -54,7 +59,7 @@ struct SearchResult
     /** Global row index per entry of @p values. */
     std::vector<std::int32_t> indices;
     /** Rows flagged as matching (exact: dist == 0; range: dist <= thr;
-     *  best: rows achieving the minimum distance). */
+     *  best: rows whose value is the minimum of @p values). */
     std::vector<std::int32_t> matchedRows;
 };
 
@@ -84,15 +89,31 @@ class CamSubarray
                      int row_offset);
 
     /**
-     * Search @p query against rows [row_begin, row_end).
+     * Search @p query against rows [row_begin, row_end) into @p result,
+     * reusing its vectors' capacity; @p quantized is scratch for the
+     * quantized query. Neither is touched when the arguments are
+     * rejected.
      * @param kind exact / best / range matching
-     * @param metric hamming or euclidean distance
+     * @param euclidean euclidean (else hamming) distance
      * @param threshold range-match threshold (ignored otherwise)
      */
-    SearchResult search(const std::vector<float> &query,
-                        arch::SearchKind kind, bool euclidean,
-                        int row_begin, int row_end,
-                        double threshold = 0.0) const;
+    void search(const std::vector<float> &query, arch::SearchKind kind,
+                bool euclidean, int row_begin, int row_end,
+                double threshold, SearchResult &result,
+                std::vector<float> &quantized) const;
+
+    /** By-value search of rows [row_begin, row_end). */
+    SearchResult
+    search(const std::vector<float> &query, arch::SearchKind kind,
+           bool euclidean, int row_begin, int row_end,
+           double threshold = 0.0) const
+    {
+        SearchResult result;
+        std::vector<float> quantized;
+        search(query, kind, euclidean, row_begin, row_end, threshold,
+               result, quantized);
+        return result;
+    }
 
     /** Search the full row window. */
     SearchResult

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
@@ -397,7 +398,7 @@ TEST(ExecutionSession, CloneServesBitIdentically)
         batches.push_back(
             {rt::Buffer::fromMatrix({stored[i * 7]}), stored_buf});
 
-    // Plan replicas copy the slot frame; tree-walk replicas fork the
+    // Plan replicas fork the slot frame; tree-walk replicas fork the
     // interpreter state.
     for (bool tree_walk : {false, true}) {
         SCOPED_TRACE(tree_walk ? "tree walk" : "plan");
@@ -419,5 +420,73 @@ TEST(ExecutionSession, CloneServesBitIdentically)
             expectSameAnswer(clone.runQuery(args), session.runQuery(args));
         EXPECT_EQ(clone.queriesServed(), 6);
         EXPECT_EQ(session.queriesServed(), 7);
+    }
+}
+
+TEST(ExecutionSession, KeptOutputsSurviveLaterQueries)
+{
+    // Replay reuses buffers across queries, but never one the caller
+    // still holds: query 2's outputs must read the same after eight
+    // more queries as when they were returned.
+    auto stored = randomRows(64, 128, 43);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    core::CompiledKernel kernel = compileKnnKernel();
+    core::ExecutionSession session = kernel.createSession(
+        {rt::Buffer::fromMatrix({stored[0]}), stored_buf});
+    for (std::size_t i = 0; i < 2; ++i)
+        session.runQuery({rt::Buffer::fromMatrix({stored[i]}), stored_buf});
+
+    core::ExecutionResult kept =
+        session.runQuery({rt::Buffer::fromMatrix({stored[2]}), stored_buf});
+    std::vector<std::vector<double>> snapshot;
+    for (const rt::RtValue &out : kept.outputs)
+        snapshot.push_back(out.asBuffer()->toVector());
+
+    for (std::size_t i = 3; i < 11; ++i)
+        session.runQuery({rt::Buffer::fromMatrix({stored[i]}), stored_buf});
+    ASSERT_EQ(kept.outputs.size(), snapshot.size());
+    for (std::size_t i = 0; i < snapshot.size(); ++i)
+        EXPECT_EQ(kept.outputs[i].asBuffer()->toVector(), snapshot[i]);
+}
+
+TEST(ExecutionSession, CloneAndMasterServeConcurrentlyAfterReuse)
+{
+    // Master and clone each reuse their own replay buffers; once both
+    // are warm they serve at the same time from two threads and still
+    // match serial replay bit for bit (run under TSan in CI).
+    auto stored = randomRows(64, 128, 47);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<std::vector<rt::BufferPtr>> queries;
+    for (std::size_t i = 0; i < 12; ++i)
+        queries.push_back(
+            {rt::Buffer::fromMatrix({stored[i * 5]}), stored_buf});
+    core::CompiledKernel kernel = compileKnnKernel();
+
+    core::ExecutionSession serial = kernel.createSession(queries[0]);
+    std::vector<core::ExecutionResult> reference;
+    for (const auto &args : queries)
+        reference.push_back(serial.runQuery(args));
+
+    core::ExecutionSession master = kernel.createSession(queries[0]);
+    for (std::size_t i = 0; i < 3; ++i)
+        master.runQuery(queries[i]);
+    core::ExecutionSession clone = master.clone();
+    for (std::size_t i = 3; i < 6; ++i) {
+        expectSameAnswer(master.runQuery(queries[i]), reference[i]);
+        expectSameAnswer(clone.runQuery(queries[i]), reference[i]);
+    }
+
+    std::vector<core::ExecutionResult> from_master(queries.size());
+    std::vector<core::ExecutionResult> from_clone(queries.size());
+    std::thread other([&] {
+        for (std::size_t i = 0; i < queries.size(); ++i)
+            from_clone[i] = clone.runQuery(queries[i]);
+    });
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        from_master[i] = master.runQuery(queries[i]);
+    other.join();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        expectSameAnswer(from_master[i], reference[i]);
+        expectSameAnswer(from_clone[i], reference[i]);
     }
 }

@@ -143,3 +143,57 @@ TEST(Buffer, StrIsInformative)
     EXPECT_NE(s.find("f32"), std::string::npos);
     EXPECT_NE(s.find("1x2"), std::string::npos);
 }
+
+TEST(Buffer, AssignSubviewRepointsInPlace)
+{
+    auto buf = Buffer::fromMatrix({{1, 2, 3}, {4, 5, 6}});
+    auto view = buf->subview({0, 0}, {1, 3});
+    const Buffer *object = view.get();
+    view->assignSubview(*buf, {1, 1}, {1, 2});
+    EXPECT_EQ(view.get(), object);
+    EXPECT_EQ(view->shape(), (std::vector<std::int64_t>{1, 2}));
+    EXPECT_EQ(view->toVector(), (std::vector<double>{5, 6}));
+
+    // The base may be the view itself.
+    view->assignSubview(*view, {0, 1}, {1, 1});
+    EXPECT_EQ(view->toVector(), (std::vector<double>{6}));
+
+    // Same bounds checks as subview(); a rejected window changes
+    // nothing.
+    EXPECT_THROW(view->assignSubview(*buf, {1, 2}, {1, 2}), InternalError);
+    EXPECT_THROW(view->assignSubview(*buf, {0}, {1}), InternalError);
+    EXPECT_EQ(view->toVector(), (std::vector<double>{6}));
+}
+
+TEST(Buffer, SoleDenseStorageOnlyForUnsharedVectors)
+{
+    auto vec = Buffer::alloc(DType::F32, {3});
+    ASSERT_NE(vec->soleDenseStorage(DType::F32, 3), nullptr);
+    EXPECT_EQ(vec->soleDenseStorage(DType::I64, 3), nullptr);
+    EXPECT_EQ(vec->soleDenseStorage(DType::F32, 4), nullptr);
+    {
+        auto alias = vec->subview({1}, {2});
+        EXPECT_EQ(vec->soleDenseStorage(DType::F32, 3), nullptr);
+    }
+    EXPECT_NE(vec->soleDenseStorage(DType::F32, 3), nullptr);
+
+    auto mat = Buffer::alloc(DType::F32, {2, 2});
+    EXPECT_EQ(mat->soleDenseStorage(DType::F32, 4), nullptr);
+}
+
+TEST(Buffer, AddFromReadsAnAliasingSourceFirst)
+{
+    // acc = row 0, partial = the whole 1x4 buffer shifted by one: the
+    // accumulate must read every partial element before writing.
+    auto buf = Buffer::fromMatrix({{1, 2, 3, 4, 5}});
+    auto acc = buf->subview({0, 1}, {1, 4});
+    auto partial = buf->subview({0, 0}, {1, 4});
+    acc->addFrom(*partial);
+    EXPECT_EQ(buf->toVector(), (std::vector<double>{1, 3, 5, 7, 9}));
+
+    auto strided = Buffer::fromMatrix({{1, 2}, {3, 4}})->subview({0, 0},
+                                                                 {2, 1});
+    auto out = Buffer::alloc(DType::F32, {2});
+    out->addFrom(*strided);
+    EXPECT_EQ(out->toVector(), (std::vector<double>{1, 3}));
+}

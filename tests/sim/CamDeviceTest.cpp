@@ -386,6 +386,69 @@ TEST(CamDevice, CloneProgrammedIsIndependent)
     EXPECT_EQ(device.read(sub).matchedRows[0], 0);
 }
 
+TEST(CamDevice, AbortQueryWindowDropsResultsAndSearches)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    device.writeValue(sub, {{1, 0, 1, 0}});
+    device.timing().beginScope(/*parallel=*/false);
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    ASSERT_EQ(device.read(sub).values.size(), 4u);
+
+    // An unwound query's results are as unreadable as a finished
+    // window's, and its searches are not counted.
+    device.abortQueryWindow();
+    EXPECT_THROW(device.read(sub), CompilerError);
+    EXPECT_EQ(device.report().searches, 0);
+    EXPECT_EQ(device.timing().depth(), 0);
+
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 1);
+    EXPECT_EQ(device.read(sub).matchedRows, std::vector<std::int32_t>{0});
+    EXPECT_EQ(device.report().searches, 1);
+}
+
+TEST(CamDevice, CloneCannotReadTheOriginalsLastResult)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    device.writeValue(sub, {{1, 0, 1, 0}});
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+
+    std::unique_ptr<CamDevice> clone = device.cloneProgrammed();
+    EXPECT_THROW(clone->read(sub), CompilerError);
+    // The original still reads its own result.
+    EXPECT_EQ(device.read(sub).values.size(), 4u);
+}
+
+TEST(CamDevice, ReadReferenceSurvivesLaterAllocations)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle array = device.allocArray(device.allocMat(bank));
+    Handle sub = device.allocSubarray(array);
+    device.writeValue(sub, {{1, 0, 1, 0}, {0, 1, 0, 1}});
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    const SearchResult &result = device.read(sub);
+    CamSubarray &cells = device.subarray(sub);
+
+    // Grow every level of the hierarchy after taking the references.
+    device.allocSubarray(array);
+    Handle more = device.allocArray(device.allocMat(bank));
+    device.allocSubarray(more);
+    device.allocSubarray(more);
+
+    ASSERT_EQ(result.values.size(), 2u);
+    EXPECT_FLOAT_EQ(result.values[0], 0.0f);
+    EXPECT_FLOAT_EQ(result.values[1], 4.0f);
+    EXPECT_EQ(&result, &device.read(sub));
+    EXPECT_EQ(&cells, &device.subarray(sub));
+    EXPECT_EQ(cells.writtenRows(), 2);
+}
+
 TEST(CamDevice, CloneProgrammedRejectsOpenScopes)
 {
     CamDevice device(smallSpec());

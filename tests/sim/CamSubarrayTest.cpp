@@ -200,3 +200,47 @@ TEST(CamSubarray, ShorterQueryUsesPrefixColumns)
         sub.search({1, 0, 1, 0}, SearchKind::Best, false, 0, 4);
     EXPECT_FLOAT_EQ(r.values[2], 0.0f);
 }
+
+TEST(CamSubarray, BestMatchFlagsTheMinimumReportedValue)
+{
+    // ACAM distances are summed in double and reported as float. The
+    // best row must be flagged even when its double distance (here
+    // 0.1f squared) is not exactly representable as a float.
+    CamSubarray sub(3, 1, CamDeviceType::Acam, 2);
+    sub.writeRanges({{CamCell{0.1f, 0.1f, false}},
+                     {CamCell{0.5f, 0.6f, false}},
+                     {CamCell{0.3f, 0.4f, false}}},
+                    0);
+    SearchResult r = sub.search({0.0f}, SearchKind::Best, true, 0, 3);
+    ASSERT_EQ(r.values.size(), 3u);
+    const double exact = static_cast<double>(0.1f) * 0.1f;
+    ASSERT_NE(static_cast<double>(r.values[0]), exact);
+    ASSERT_EQ(r.matchedRows.size(), 1u);
+    EXPECT_EQ(r.matchedRows[0], 0);
+}
+
+TEST(CamSubarray, SearchIntoReplacesThePreviousResult)
+{
+    CamSubarray sub = makeTcam();
+    SearchResult result;
+    std::vector<float> scratch;
+    sub.search({1, 0, 1, 0, 1, 0, 1, 0}, SearchKind::Best, false, 0, 8,
+               0.0, result, scratch);
+    ASSERT_EQ(result.values.size(), 8u);
+
+    // A narrower window into the same result: nothing of the first
+    // search survives, and the by-value search agrees.
+    sub.search({1, 1, 1, 1, 1, 1, 1, 1}, SearchKind::Exact, false, 1, 3,
+               0.0, result, scratch);
+    SearchResult fresh =
+        sub.search({1, 1, 1, 1, 1, 1, 1, 1}, SearchKind::Exact, false, 1, 3);
+    EXPECT_EQ(result.values, fresh.values);
+    EXPECT_EQ(result.indices, (std::vector<std::int32_t>{1, 2}));
+    EXPECT_EQ(result.matchedRows, (std::vector<std::int32_t>{1}));
+
+    // Rejected arguments leave the result untouched.
+    EXPECT_THROW(sub.search({1}, SearchKind::Exact, false, 0, 9, 0.0,
+                            result, scratch),
+                 CompilerError);
+    EXPECT_EQ(result.matchedRows, (std::vector<std::int32_t>{1}));
+}
