@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/Hdc.h"
@@ -28,7 +29,7 @@ namespace c4cam::bench {
 
 /**
  * Machine-readable bench results: every bench_* binary accepts
- * `--json-out FILE` and writes its headline metrics as one flat JSON
+ * `--json-out FILE` and writes its headline metrics as one JSON
  * object, so CI can archive the perf trajectory (BENCH_*.json
  * artifacts) instead of scraping stdout tables.
  *
@@ -42,7 +43,7 @@ namespace c4cam::bench {
  *   if (jout.tryParseArg(argc, argv, i)) continue;
  *   ...
  *   jout.set("wall_qps", qps);
- *   jout.setReport("session", total);
+ *   jout.set("session", total.toJson());
  *   return jout.write() ? 0 : 1;
  */
 class JsonOut
@@ -79,11 +80,12 @@ class JsonOut
         obj_.set(key, JsonValue(value));
     }
 
-    /** Nest a full PerfReport under @p key. */
+    /** Nest @p value (a PerfReport's toJson(), one leg of a
+     *  multi-leg bench, ...) under @p key. */
     void
-    setReport(const std::string &key, const sim::PerfReport &perf)
+    set(const std::string &key, JsonValue value)
     {
-        obj_.set(key, perf.toJson());
+        obj_.set(key, std::move(value));
     }
 
     /**

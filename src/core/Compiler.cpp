@@ -16,6 +16,7 @@
 #include "passes/TorchToCim.h"
 #include "runtime/ExecutionPlan.h"
 #include "runtime/Interpreter.h"
+#include "runtime/PlanOptimizer.h"
 #include "support/Error.h"
 
 namespace c4cam::core {
@@ -54,9 +55,8 @@ tryCompilePlan(const ir::Module &module, const std::string &entry,
         try {
             std::shared_ptr<const rt::ExecutionPlan> plan =
                 rt::ExecutionPlan::compile(module, entry);
-            if (options.optimizePlans && options.planOpt.anyEnabled())
-                plan = rt::PlanOptimizer::optimize(*plan,
-                                                   options.planOpt);
+            if (options.optimizePlans)
+                plan = rt::PlanOptimizer::optimize(*plan);
             return plan;
         } catch (const CompilerError &) {
             return std::shared_ptr<const rt::ExecutionPlan>();

@@ -27,7 +27,6 @@
 #include "ir/Pass.h"
 #include "passes/CamMapping.h"
 #include "runtime/Buffer.h"
-#include "runtime/PlanOptimizer.h"
 #include "sim/Timing.h"
 
 namespace c4cam::rt {
@@ -66,8 +65,6 @@ struct CompilerOptions
      * (CLI: c4cam-run --no-plan-opt).
      */
     bool optimizePlans = true;
-    /** Per-pass toggles, honored when optimizePlans is set. */
-    rt::PlanOptOptions planOpt;
     /**
      * How fused multi-query windows charge the simulated device (see
      * sim::FusionModel). ExactSerial (default) keeps fused totals

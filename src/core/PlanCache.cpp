@@ -38,10 +38,7 @@ PlanCache::makeKey(const ir::Module &module, const std::string &entry,
     std::ostringstream key;
     key << std::hex << h << std::dec << ":" << text.size() << ":"
         << entry << ":" << options.hostOnly << options.lowerToLoops
-        << options.optimizePlans << options.planOpt.constantFolding
-        << options.planOpt.subviewHoisting
-        << options.planOpt.superopFusion
-        << options.planOpt.deadSlotElimination;
+        << options.optimizePlans;
     return key.str();
 }
 

@@ -174,7 +174,6 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
     pool_options.threads = shards_.size() *
                            static_cast<std::size_t>(replicasPerShard_);
     pool_options.namePrefix = "c4cam-shard-";
-    pool_options.pinThreads = sharding.pinShardWorkers;
     pool_ = std::make_unique<support::ThreadPool>(pool_options);
 }
 

@@ -98,9 +98,6 @@ struct ShardedEngineOptions
     int replicasPerShard = 1;
     /** Which kernel parameter holds the stored (sharded) tensor. */
     std::size_t storedArgIndex = 1;
-    /** Pin the scatter workers to distinct CPUs (best effort; see
-     *  support::ThreadPoolOptions::pinThreads). */
-    bool pinShardWorkers = false;
 
     /// @name Fault tolerance
     /// @{

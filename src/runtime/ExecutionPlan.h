@@ -44,8 +44,8 @@
  * both back ends share the host tensor kernels (runtime/HostKernels.h)
  * and drive the CamDevice through the same call sequence, so outputs
  * and simulated PerfReports are bit-identical (locked by
- * tests/runtime/ExecutionPlanTest.cpp and the
- * bench_serving_throughput --plan-vs-treewalk gate).
+ * tests/runtime/ExecutionPlanTest.cpp and the plan-vs-treewalk leg
+ * of bench_serving_throughput).
  *
  * A compiled plan holds no pointers into the IR: after compile() the
  * module is only needed to stay alive for the tree-walk fallback, not

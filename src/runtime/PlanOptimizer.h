@@ -66,12 +66,6 @@ struct PlanOptOptions
     /** Record a disassembly snapshot after every pass into
      *  PlanOptReport::passDumps (c4cam-run --plan-opt-debug). */
     bool collectDumps = false;
-
-    bool anyEnabled() const
-    {
-        return constantFolding || subviewHoisting || superopFusion ||
-               deadSlotElimination;
-    }
 };
 
 /** What the pipeline did, for tests and --dump-plan. */

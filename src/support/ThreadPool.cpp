@@ -6,16 +6,12 @@
 
 #if defined(__linux__)
 #include <pthread.h>
-#include <sched.h>
-#define C4CAM_HAVE_PTHREAD_AFFINITY 1
-#else
-#define C4CAM_HAVE_PTHREAD_AFFINITY 0
 #endif
 
 namespace c4cam::support {
 
 ThreadPool::ThreadPool(std::size_t threads)
-    : ThreadPool(ThreadPoolOptions{threads, std::string(), false, 0})
+    : ThreadPool(ThreadPoolOptions{threads, std::string()})
 {
 }
 
@@ -27,39 +23,22 @@ ThreadPool::ThreadPool(const ThreadPoolOptions &options)
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { workerLoop(); });
-        placeWorker(workers_.back(), options, i);
+        nameWorker(workers_.back(), options, i);
     }
 }
 
-bool
-ThreadPool::affinitySupported()
-{
-    return C4CAM_HAVE_PTHREAD_AFFINITY != 0;
-}
-
 void
-ThreadPool::placeWorker(std::thread &worker,
-                        const ThreadPoolOptions &options, std::size_t index)
+ThreadPool::nameWorker(std::thread &worker,
+                       const ThreadPoolOptions &options, std::size_t index)
 {
-#if C4CAM_HAVE_PTHREAD_AFFINITY
-    pthread_t handle = worker.native_handle();
+#if defined(__linux__)
     if (!options.namePrefix.empty()) {
         // Linux caps thread names at 15 chars + NUL; a longer name
         // makes pthread_setname_np fail outright, so truncate.
         std::string name = options.namePrefix + std::to_string(index);
         if (name.size() > 15)
             name.resize(15);
-        (void)pthread_setname_np(handle, name.c_str());
-    }
-    if (options.pinThreads) {
-        unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-        std::size_t cpu = (options.pinOffset + index) % cpus;
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(cpu, &set);
-        // Best effort: a restricted cpuset (containers, taskset) can
-        // legitimately refuse the target CPU.
-        (void)pthread_setaffinity_np(handle, sizeof(set), &set);
+        (void)pthread_setname_np(worker.native_handle(), name.c_str());
     }
 #else
     (void)worker;

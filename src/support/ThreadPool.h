@@ -27,10 +27,8 @@
 namespace c4cam::support {
 
 /**
- * Worker-thread placement knobs. Everything here is best effort and
- * purely observational: naming and pinning never change what the pool
- * computes, only where the OS schedules it (shard fan-out workers pin
- * so the M per-query scatter tasks stop migrating between cores).
+ * Worker-thread options. Naming is best effort and purely
+ * observational: it never changes what the pool computes.
  */
 struct ThreadPoolOptions
 {
@@ -43,15 +41,6 @@ struct ThreadPoolOptions
      * and debuggers; a no-op where the platform has no thread names.
      */
     std::string namePrefix;
-
-    /**
-     * Pin worker i to CPU (pinOffset + i) % hardware_concurrency().
-     * A no-op on platforms without pthread_setaffinity_np (see
-     * affinitySupported()); pinning failures are ignored -- a pool in
-     * a restricted cpuset must still come up.
-     */
-    bool pinThreads = false;
-    std::size_t pinOffset = 0;
 };
 
 /**
@@ -71,12 +60,8 @@ class ThreadPool
      */
     explicit ThreadPool(std::size_t threads);
 
-    /** Worker pool with naming/affinity placement options. */
+    /** Worker pool with named workers. */
     explicit ThreadPool(const ThreadPoolOptions &options);
-
-    /** True when this platform can honor ThreadPoolOptions::pinThreads
-     *  (pthread_setaffinity_np is available). */
-    static bool affinitySupported();
 
     /** Drains the queue, then joins all workers. */
     ~ThreadPool();
@@ -105,11 +90,11 @@ class ThreadPool
   private:
     void enqueue(std::function<void()> job);
     void workerLoop();
-    /** Apply @p options naming/pinning to worker @p index (best
-     *  effort; failures are ignored). */
-    static void placeWorker(std::thread &worker,
-                            const ThreadPoolOptions &options,
-                            std::size_t index);
+    /** Apply @p options naming to worker @p index (best effort;
+     *  failures are ignored). */
+    static void nameWorker(std::thread &worker,
+                           const ThreadPoolOptions &options,
+                           std::size_t index);
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;

@@ -100,25 +100,13 @@ TEST(ThreadPool, OptionsZeroThreadsMeansHardwareConcurrency)
     EXPECT_GE(pool.numThreads(), 1u);
 }
 
-TEST(ThreadPool, AffinitySupportMatchesThePlatform)
+TEST(ThreadPool, NamedWorkersStillComputeEverything)
 {
-#if defined(__linux__)
-    EXPECT_TRUE(ThreadPool::affinitySupported());
-#else
-    EXPECT_FALSE(ThreadPool::affinitySupported());
-#endif
-}
-
-TEST(ThreadPool, NamedPinnedWorkersStillComputeEverything)
-{
-    // Placement is observational only: a named, pinned pool (pinning
-    // best-effort -- a restricted cpuset may refuse, and that is fine)
-    // must behave exactly like a plain one.
+    // Naming is observational only: a named pool must behave exactly
+    // like a plain one.
     c4cam::support::ThreadPoolOptions options;
     options.threads = 4;
     options.namePrefix = "c4cam-tptest-";
-    options.pinThreads = true;
-    options.pinOffset = 1;
     ThreadPool pool(options);
     EXPECT_EQ(pool.numThreads(), 4u);
     std::vector<std::future<int>> futures;

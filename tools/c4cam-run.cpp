@@ -440,7 +440,7 @@ main(int argc, char **argv)
             // kernel even when the cached plan skipped the passes.
             auto raw = rt::ExecutionPlan::compile(
                 std::as_const(kernel).module(), kernel.entryPoint());
-            rt::PlanOptOptions dbg = options.planOpt;
+            rt::PlanOptOptions dbg;
             dbg.collectDumps = true;
             rt::PlanOptReport report;
             rt::PlanOptimizer::optimize(*raw, dbg, &report);
