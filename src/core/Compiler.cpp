@@ -16,7 +16,6 @@
 #include "passes/TorchToCim.h"
 #include "runtime/ExecutionPlan.h"
 #include "runtime/Interpreter.h"
-#include "runtime/PlanOptimizer.h"
 #include "support/Error.h"
 
 namespace c4cam::core {
@@ -48,20 +47,8 @@ tryCompilePlan(const ir::Module &module, const std::string &entry,
     std::string key = PlanCache::makeKey(module, entry, options);
     if (cache_key)
         *cache_key = key;
-    return PlanCache::instance().getOrCompile(key, [&] {
-        // A module the plan compiler cannot handle falls back to the
-        // tree walk -- same op vocabulary, so this only happens for
-        // ops the interpreter would reject at runtime too.
-        try {
-            std::shared_ptr<const rt::ExecutionPlan> plan =
-                rt::ExecutionPlan::compile(module, entry);
-            if (options.optimizePlans)
-                plan = rt::PlanOptimizer::optimize(*plan);
-            return plan;
-        } catch (const CompilerError &) {
-            return std::shared_ptr<const rt::ExecutionPlan>();
-        }
-    });
+    return PlanCache::instance().getOrCompile(
+        key, [&] { return rt::ExecutionPlan::compile(module, entry); });
 }
 
 ir::Module &
@@ -76,7 +63,6 @@ CompiledKernel::module()
         planCacheKey_.clear();
     }
     plan_stream_.reset();
-    planCompileFailed_ = false;
     return module_;
 }
 
@@ -86,12 +72,9 @@ CompiledKernel::executionPlan()
     // Compiled once (re-compiled lazily after mutable module() access
     // so IR rewrites are picked up) and shared by
     // run()/sessions/engines.
-    if (!plan_stream_ && !planCompileFailed_ &&
-        !options_.treeWalkExecution) {
+    if (!plan_stream_ && !options_.treeWalkExecution)
         plan_stream_ =
             tryCompilePlan(module_, entry_, options_, &planCacheKey_);
-        planCompileFailed_ = plan_stream_ == nullptr;
-    }
     return plan_stream_;
 }
 

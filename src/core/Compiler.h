@@ -58,14 +58,6 @@ struct CompilerOptions
      */
     bool treeWalkExecution = false;
     /**
-     * Run the rt::PlanOptimizer pass pipeline over compiled plans
-     * (constant folding, subview hoisting, superop fusion, dead-slot
-     * elimination -- see runtime/PlanOptimizer.h). Off = the raw 1:1
-     * transcription of the lowered IR, kept for differential testing
-     * (CLI: c4cam-run --no-plan-opt).
-     */
-    bool optimizePlans = true;
-    /**
      * How fused multi-query windows charge the simulated device (see
      * sim::FusionModel). ExactSerial (default) keeps fused totals
      * bit-identical to the serial sum; TrueFused charges the
@@ -126,13 +118,15 @@ void validateKernelArgs(ir::Block *body, const std::string &entry,
 /**
  * The one plan-or-tree-walk policy, shared by CompiledKernel and
  * ExecutionSession (serving replicas are cloned sessions): compile
- * @p entry of @p module into an ExecutionPlan unless tree-walk
- * execution is forced, falling back to nullptr (= tree walk) when the
- * module is outside the plan compiler's vocabulary. Every call goes
- * through the process-wide PlanCache (see core/PlanCache.h), so
- * sessions, equal-slice shards and DSE candidates compiling the same
- * (module, entry, options) shape pay the compile -- and the optimizer
- * pipeline -- exactly once. @p cache_key, when non-null, receives the
+ * @p entry of @p module into an ExecutionPlan, or return nullptr when
+ * options.treeWalkExecution forces the tree walk. A module outside
+ * the plan compiler's vocabulary is an error: the CompilerError from
+ * rt::ExecutionPlan::compile propagates (the interpreter supports the
+ * same vocabulary, so falling back would only defer the failure).
+ * Every call goes through the process-wide PlanCache (see
+ * core/PlanCache.h), so sessions, equal-slice shards and DSE
+ * candidates compiling the same (module, entry, options) shape pay
+ * the compile exactly once. @p cache_key, when non-null, receives the
  * cache key used (for later invalidation).
  */
 std::shared_ptr<const rt::ExecutionPlan>
@@ -218,11 +212,12 @@ class CompiledKernel
      * once into a slot-based instruction stream (see
      * runtime/ExecutionPlan.h). Compiled eagerly at kernel build time
      * and shared by run()/sessions/engines; nullptr when
-     * options.treeWalkExecution is set (differential-testing mode) or
-     * when plan compilation failed (execution then falls back to the
-     * tree walk). A mutable module() access drops the cache; the
-     * recompile happens on next use -- like the IR mutation that
-     * motivated it, that path is single-threaded by contract.
+     * options.treeWalkExecution is set (differential-testing mode).
+     * Throws CompilerError when the module holds an op outside the
+     * executable vocabulary. A mutable module() access drops the
+     * cache; the recompile happens on next use -- like the IR
+     * mutation that motivated it, that path is single-threaded by
+     * contract.
      */
     std::shared_ptr<const rt::ExecutionPlan> executionPlan();
 
@@ -251,8 +246,6 @@ class CompiledKernel
     /** PlanCache key of plan_stream_, for invalidation on mutable
      *  module() access; empty when no cache entry is held. */
     std::string planCacheKey_;
-    /** Set when plan compilation failed (avoid re-trying per call). */
-    bool planCompileFailed_ = false;
     std::vector<std::pair<std::string, std::string>> dumps_;
     std::vector<ir::PassManager::Timing> timings_;
 };

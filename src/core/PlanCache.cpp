@@ -37,8 +37,7 @@ PlanCache::makeKey(const ir::Module &module, const std::string &entry,
     }
     std::ostringstream key;
     key << std::hex << h << std::dec << ":" << text.size() << ":"
-        << entry << ":" << options.hostOnly << options.lowerToLoops
-        << options.optimizePlans;
+        << entry << ":" << options.hostOnly << options.lowerToLoops;
     return key.str();
 }
 

@@ -3,23 +3,20 @@
 
 /**
  * @file
- * Process-wide shape-keyed cache of compiled (and optimized)
- * ExecutionPlans.
+ * Process-wide shape-keyed cache of compiled ExecutionPlans.
  *
- * Plan compilation + the optimizer pipeline run once per distinct
- * kernel shape, not once per consumer: ExecutionSession, ServingEngine
- * replicas, ShardedEngine per-shard compiles (M shards with equal
- * slice sizes collapse to one compile + M-1 hits) and DseExplorer
- * candidate sweeps all funnel through core::tryCompilePlan, which
- * keys into this cache.
+ * Plan compilation runs once per distinct kernel shape, not once per
+ * consumer: ExecutionSession, ServingEngine replicas, ShardedEngine
+ * per-shard compiles (M shards with equal slice sizes collapse to one
+ * compile + M-1 hits) and DseExplorer candidate sweeps all funnel
+ * through core::tryCompilePlan, which keys into this cache.
  *
  * Keying: the canonical key digests the module fingerprint (the
  * printed IR -- shapes, constants and mapping structure are all part
  * of the lowered text, so ShapeOverrides and ArchSpec differences are
  * naturally covered), the entry symbol, and every CompilerOptions
  * field that changes what tryCompilePlan would produce (hostOnly,
- * lowerToLoops, optimizePlans + per-pass toggles). Same canonical key
- * => interchangeable plan.
+ * lowerToLoops). Same canonical key => interchangeable plan.
  *
  * Concurrency: getOrCompile() compiles under the cache mutex, so N
  * racing session creations of the same shape perform exactly one
@@ -72,10 +69,10 @@ class PlanCache
 
     /**
      * Look up @p key; on a miss, run @p compile under the cache lock
-     * and insert its result. Failed compiles (nullptr) are cached too,
-     * so a kernel outside the plan vocabulary is not re-tried by every
-     * session. Emits a "plan-compile" span on miss and a
-     * "plan-cache-hit" span on hit when a trace collector is attached.
+     * and insert its result. When @p compile throws, the exception
+     * propagates and nothing is cached. Emits a "plan-compile" span on
+     * miss and a "plan-cache-hit" span on hit when a trace collector
+     * is attached.
      */
     std::shared_ptr<const rt::ExecutionPlan> getOrCompile(
         const std::string &key,

@@ -189,10 +189,11 @@ class RtValue
     }
 
     /// @name In-place scalar stores
-    /// Replay-loop fast path for the fused superops: a type-stable
+    /// How plan replay writes every scalar result: a type-stable
     /// scalar slot (the overwhelmingly common case in a loop) takes a
     /// predicted branch + direct store instead of the construct /
-    /// move-assign / destroy dance of `slot = RtValue(...)`.
+    /// move-assign / destroy dance of `slot = RtValue(...)`. The slot
+    /// ends up holding the same alternative and value either way.
     /// @{
     void
     setInt(std::int64_t i)

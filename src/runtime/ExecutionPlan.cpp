@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <iomanip>
+#include <sstream>
 #include <unordered_set>
 
 #include "dialects/cam/CamDialect.h"
@@ -925,9 +927,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     std::vector<std::int64_t> sizes;
     std::vector<double> query_stage;
     std::vector<float> query_floats;
-    // The query view of a FusedSubviewSearch that stores none (r = -1):
-    // one view object per run(), re-pointed for every tile.
-    RtValue local_view;
 
     auto slotInt = [&s](std::int32_t slot) {
         return s[static_cast<std::size_t>(slot)].asInt();
@@ -940,6 +939,14 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     };
     auto put = [&s](std::int32_t slot, RtValue v) {
         s[static_cast<std::size_t>(slot)] = std::move(v);
+    };
+    // Scalar results overwrite their slot in place (RtValue::setInt /
+    // setFloat): same alternative, same value as put(slot, RtValue(v)).
+    auto putInt = [&s](std::int32_t slot, std::int64_t v) {
+        s[static_cast<std::size_t>(slot)].setInt(v);
+    };
+    auto putFloat = [&s](std::int32_t slot, double v) {
+        s[static_cast<std::size_t>(slot)].setFloat(v);
     };
     auto requireDevice = [device]() {
         C4CAM_CHECK(device, "cam ops require an attached CAM simulator");
@@ -965,19 +972,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
         // releasing a result); order that release before our writes.
         std::atomic_thread_fence(std::memory_order_acquire);
         return true;
-    };
-    // dst = base[slice], re-pointing the view already in dst when it
-    // is solely owned instead of allocating a new one.
-    auto subviewInto = [&](RtValue &dst, std::int32_t base_slot,
-                           const SliceSpec &spec) -> const Buffer & {
-        resolveSlice(spec.offsets, offsets);
-        resolveSlice(spec.sizes, sizes);
-        const Buffer &base = *slotBuf(base_slot);
-        if (soleOwned(dst))
-            dst.asBuffer()->assignSubview(base, offsets, sizes);
-        else
-            dst = RtValue(base.subview(offsets, sizes));
-        return *dst.asBuffer();
     };
     // The element storage of the rank-1 dtype/n read-out buffer in
     // @p dst: the one already there when it is solely owned and fits,
@@ -1065,29 +1059,28 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             return {};
 
           case Opcode::ConstInt:
-            put(inst.r, RtValue(inst.imm));
+            putInt(inst.r, inst.imm);
             break;
           case Opcode::ConstFloat:
-            put(inst.r, RtValue(inst.fimm));
+            putFloat(inst.r, inst.fimm);
             break;
 
           case Opcode::CastToInt:
-            put(inst.r, RtValue(static_cast<std::int64_t>(
-                            slotFloat(inst.a))));
+            putInt(inst.r, static_cast<std::int64_t>(slotFloat(inst.a)));
             break;
           case Opcode::CastToFloat:
-            put(inst.r, RtValue(slotFloat(inst.a)));
+            putFloat(inst.r, slotFloat(inst.a));
             break;
           case Opcode::Sqrt:
-            put(inst.r, RtValue(std::sqrt(slotFloat(inst.a))));
+            putFloat(inst.r, std::sqrt(slotFloat(inst.a)));
             break;
           case Opcode::Select:
             put(inst.r, s[static_cast<std::size_t>(
                             slotInt(inst.a) != 0 ? inst.b : inst.c)]);
             break;
           case Opcode::CmpI:
-            put(inst.r, RtValue(static_cast<std::int64_t>(evalCmpI(
-                            slotInt(inst.a), slotInt(inst.b), inst.imm))));
+            putInt(inst.r, evalCmpI(slotInt(inst.a), slotInt(inst.b),
+                                    inst.imm));
             break;
           case Opcode::CmpF: {
             double a = slotFloat(inst.a);
@@ -1110,57 +1103,55 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                 r = a == b;
                 break;
             }
-            put(inst.r, RtValue(static_cast<std::int64_t>(r)));
+            putInt(inst.r, r);
             break;
           }
           case Opcode::AddI:
-            put(inst.r, RtValue(slotInt(inst.a) + slotInt(inst.b)));
+            putInt(inst.r, slotInt(inst.a) + slotInt(inst.b));
             break;
           case Opcode::SubI:
-            put(inst.r, RtValue(slotInt(inst.a) - slotInt(inst.b)));
+            putInt(inst.r, slotInt(inst.a) - slotInt(inst.b));
             break;
           case Opcode::MulI:
-            put(inst.r, RtValue(slotInt(inst.a) * slotInt(inst.b)));
+            putInt(inst.r, slotInt(inst.a) * slotInt(inst.b));
             break;
           case Opcode::DivI: {
             std::int64_t b = slotInt(inst.b);
             C4CAM_CHECK(b != 0, "division by zero in arith.divsi");
-            put(inst.r, RtValue(slotInt(inst.a) / b));
+            putInt(inst.r, slotInt(inst.a) / b);
             break;
           }
           case Opcode::RemI: {
             std::int64_t b = slotInt(inst.b);
             C4CAM_CHECK(b != 0, "division by zero in arith.remsi");
-            put(inst.r, RtValue(slotInt(inst.a) % b));
+            putInt(inst.r, slotInt(inst.a) % b);
             break;
           }
           case Opcode::MinI:
-            put(inst.r, RtValue(std::min(slotInt(inst.a),
-                                         slotInt(inst.b))));
+            putInt(inst.r, std::min(slotInt(inst.a), slotInt(inst.b)));
             break;
           case Opcode::MaxI:
-            put(inst.r, RtValue(std::max(slotInt(inst.a),
-                                         slotInt(inst.b))));
+            putInt(inst.r, std::max(slotInt(inst.a), slotInt(inst.b)));
             break;
           case Opcode::AddF:
-            put(inst.r, RtValue(slotFloat(inst.a) + slotFloat(inst.b)));
+            putFloat(inst.r, slotFloat(inst.a) + slotFloat(inst.b));
             break;
           case Opcode::SubF:
-            put(inst.r, RtValue(slotFloat(inst.a) - slotFloat(inst.b)));
+            putFloat(inst.r, slotFloat(inst.a) - slotFloat(inst.b));
             break;
           case Opcode::MulF:
-            put(inst.r, RtValue(slotFloat(inst.a) * slotFloat(inst.b)));
+            putFloat(inst.r, slotFloat(inst.a) * slotFloat(inst.b));
             break;
           case Opcode::DivF:
-            put(inst.r, RtValue(slotFloat(inst.a) / slotFloat(inst.b)));
+            putFloat(inst.r, slotFloat(inst.a) / slotFloat(inst.b));
             break;
           case Opcode::MinF:
-            put(inst.r, RtValue(std::min(slotFloat(inst.a),
-                                         slotFloat(inst.b))));
+            putFloat(inst.r,
+                     std::min(slotFloat(inst.a), slotFloat(inst.b)));
             break;
           case Opcode::MaxF:
-            put(inst.r, RtValue(std::max(slotFloat(inst.a),
-                                         slotFloat(inst.b))));
+            putFloat(inst.r,
+                     std::max(slotFloat(inst.a), slotFloat(inst.b)));
             break;
 
           case Opcode::AllocBuf: {
@@ -1172,22 +1163,33 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CopyBuf:
             host::copyInto(slotBuf(inst.a), slotBuf(inst.b));
             break;
-          case Opcode::Subview:
-            subviewInto(s[static_cast<std::size_t>(inst.r)], inst.a,
-                        slices_[static_cast<std::size_t>(inst.aux)]);
+          case Opcode::Subview: {
+            // Re-point the view already in the slot when it is solely
+            // owned instead of allocating a new one.
+            const SliceSpec &spec =
+                slices_[static_cast<std::size_t>(inst.aux)];
+            resolveSlice(spec.offsets, offsets);
+            resolveSlice(spec.sizes, sizes);
+            const Buffer &base = *slotBuf(inst.a);
+            RtValue &dst = s[static_cast<std::size_t>(inst.r)];
+            if (soleOwned(dst))
+                dst.asBuffer()->assignSubview(base, offsets, sizes);
+            else
+                dst = RtValue(base.subview(offsets, sizes));
             break;
+          }
           case Opcode::LoadF: {
             index.clear();
             for (std::int32_t slot : inst.extra)
                 index.push_back(slotInt(slot));
-            put(inst.r, RtValue(slotBuf(inst.a)->at(index)));
+            putFloat(inst.r, slotBuf(inst.a)->at(index));
             break;
           }
           case Opcode::LoadI: {
             index.clear();
             for (std::int32_t slot : inst.extra)
                 index.push_back(slotInt(slot));
-            put(inst.r, RtValue(slotBuf(inst.a)->atInt(index)));
+            putInt(inst.r, slotBuf(inst.a)->atInt(index));
             break;
           }
           case Opcode::Store: {
@@ -1287,31 +1289,27 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                                                      slotBuf(inst.b))));
             break;
           case Opcode::CimAcquire:
-            put(inst.r, RtValue(frame.nextCimHandle++));
+            putInt(inst.r, frame.nextCimHandle++);
             break;
 
           case Opcode::CamAllocBank:
-            put(inst.r,
-                RtValue(requireDevice()->allocBank(
-                    static_cast<int>(slotInt(inst.a)),
-                    static_cast<int>(slotInt(inst.b)))));
+            putInt(inst.r, requireDevice()->allocBank(
+                               static_cast<int>(slotInt(inst.a)),
+                               static_cast<int>(slotInt(inst.b))));
             break;
           case Opcode::CamAllocMat:
-            put(inst.r,
-                RtValue(requireDevice()->allocMat(slotInt(inst.a))));
+            putInt(inst.r, requireDevice()->allocMat(slotInt(inst.a)));
             break;
           case Opcode::CamAllocArray:
-            put(inst.r,
-                RtValue(requireDevice()->allocArray(slotInt(inst.a))));
+            putInt(inst.r, requireDevice()->allocArray(slotInt(inst.a)));
             break;
           case Opcode::CamAllocSubarray:
-            put(inst.r, RtValue(requireDevice()->allocSubarray(
-                            slotInt(inst.a))));
+            putInt(inst.r, requireDevice()->allocSubarray(slotInt(inst.a)));
             break;
           case Opcode::CamGetSubarray:
-            put(inst.r, RtValue(requireDevice()->subarrayAt(
-                            slotInt(inst.a), slotInt(inst.b),
-                            slotInt(inst.c), slotInt(inst.extra[0]))));
+            putInt(inst.r, requireDevice()->subarrayAt(
+                               slotInt(inst.a), slotInt(inst.b),
+                               slotInt(inst.c), slotInt(inst.extra[0])));
             break;
           case Opcode::CamWriteValue:
             requireDevice()->writeValue(
@@ -1364,94 +1362,205 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                 put(inst.r, s[static_cast<std::size_t>(inst.a)]);
             break;
           }
-
-          case Opcode::Nop:
-            break;
-          // Fused pairs keep op1's result in a register: chained op2
-          // operands (kFusedChainX/Y) take it directly, and when no
-          // other instruction reads it (r = -1) the slot write is
-          // skipped entirely -- op2's non-chained operands read their
-          // slots exactly as the unfused sequence would.
-          case Opcode::FusedIntPair: {
-            const std::int64_t v1 =
-                evalIntSub(static_cast<std::uint8_t>(inst.imm & 0xff),
-                           slotInt(inst.a), slotInt(inst.b));
-            if (inst.r >= 0)
-                s[static_cast<std::size_t>(inst.r)].setInt(v1);
-            const std::int64_t x2 =
-                (inst.imm & kFusedChainX) ? v1 : slotInt(inst.c);
-            const std::int64_t y2 =
-                (inst.imm & kFusedChainY) ? v1 : slotInt(inst.extra[0]);
-            s[static_cast<std::size_t>(inst.r2)].setInt(evalIntSub(
-                static_cast<std::uint8_t>((inst.imm >> 8) & 0xff), x2,
-                y2));
-            break;
-          }
-          case Opcode::FusedFloatPair: {
-            const double v1 =
-                evalFloatSub(static_cast<std::uint8_t>(inst.imm & 0xff),
-                             slotFloat(inst.a), slotFloat(inst.b));
-            if (inst.r >= 0)
-                s[static_cast<std::size_t>(inst.r)].setFloat(v1);
-            const double x2 =
-                (inst.imm & kFusedChainX) ? v1 : slotFloat(inst.c);
-            const double y2 =
-                (inst.imm & kFusedChainY) ? v1 : slotFloat(inst.extra[0]);
-            s[static_cast<std::size_t>(inst.r2)].setFloat(evalFloatSub(
-                static_cast<std::uint8_t>((inst.imm >> 8) & 0xff), x2,
-                y2));
-            break;
-          }
-          case Opcode::FusedCopyPair:
-            put(inst.r, s[static_cast<std::size_t>(inst.a)]);
-            put(inst.r2, s[static_cast<std::size_t>(inst.c)]);
-            break;
-          case Opcode::FusedCmpBranch: {
-            bool taken = evalCmpI(slotInt(inst.a), slotInt(inst.b),
-                                  inst.imm & 0xff);
-            if (inst.r >= 0)
-                s[static_cast<std::size_t>(inst.r)].setInt(
-                    static_cast<std::int64_t>(taken));
-            if (!taken) {
-                pc = static_cast<std::size_t>(inst.target);
-                continue;
-            }
-            break;
-          }
-          case Opcode::FusedAddJump:
-            s[static_cast<std::size_t>(inst.r)].setInt(slotInt(inst.a) +
-                                                       slotInt(inst.b));
-            pc = static_cast<std::size_t>(inst.target);
-            continue;
-          case Opcode::FusedSubviewSearch: {
-            const Buffer &query = subviewInto(
-                inst.r >= 0 ? s[static_cast<std::size_t>(inst.r)]
-                            : local_view,
-                inst.b, slices_[static_cast<std::size_t>(inst.aux)]);
-            const SearchSpec &srch =
-                searches_[static_cast<std::size_t>(inst.imm)];
-            sim::Handle sub = slotInt(inst.a);
-            int row_begin = srch.rowBeginSlot >= 0
-                                ? static_cast<int>(
-                                      slotInt(srch.rowBeginSlot))
-                                : srch.rowBegin;
-            int row_end = srch.rowEndSlot >= 0
-                              ? static_cast<int>(slotInt(srch.rowEndSlot))
-                              : srch.rowEnd;
-            query.readInto(query_stage);
-            query_floats.assign(query_stage.begin(), query_stage.end());
-            requireDevice()->search(
-                sub, query_floats,
-                static_cast<arch::SearchKind>(srch.kind), srch.euclidean,
-                row_begin, row_end, srch.threshold, srch.selective);
-            break;
-          }
         }
         ++pc;
     }
     if (executed_ops)
         *executed_ops += executed;
     return {};
+}
+
+//
+// Disassembler
+//
+
+namespace {
+
+const char *
+opcodeName(Opcode op)
+{
+    switch (op) {
+      case Opcode::Jump: return "Jump";
+      case Opcode::BranchIfFalse: return "BranchIfFalse";
+      case Opcode::BranchIfGe: return "BranchIfGe";
+      case Opcode::Copy: return "Copy";
+      case Opcode::CheckPosStep: return "CheckPosStep";
+      case Opcode::BeginSeqScope: return "BeginSeqScope";
+      case Opcode::BeginParScope: return "BeginParScope";
+      case Opcode::EndScope: return "EndScope";
+      case Opcode::Return: return "Return";
+      case Opcode::Halt: return "Halt";
+      case Opcode::ConstInt: return "ConstInt";
+      case Opcode::ConstFloat: return "ConstFloat";
+      case Opcode::CastToInt: return "CastToInt";
+      case Opcode::CastToFloat: return "CastToFloat";
+      case Opcode::Sqrt: return "Sqrt";
+      case Opcode::Select: return "Select";
+      case Opcode::CmpI: return "CmpI";
+      case Opcode::CmpF: return "CmpF";
+      case Opcode::AddI: return "AddI";
+      case Opcode::SubI: return "SubI";
+      case Opcode::MulI: return "MulI";
+      case Opcode::DivI: return "DivI";
+      case Opcode::RemI: return "RemI";
+      case Opcode::MinI: return "MinI";
+      case Opcode::MaxI: return "MaxI";
+      case Opcode::AddF: return "AddF";
+      case Opcode::SubF: return "SubF";
+      case Opcode::MulF: return "MulF";
+      case Opcode::DivF: return "DivF";
+      case Opcode::MinF: return "MinF";
+      case Opcode::MaxF: return "MaxF";
+      case Opcode::AllocBuf: return "AllocBuf";
+      case Opcode::CopyBuf: return "CopyBuf";
+      case Opcode::Subview: return "Subview";
+      case Opcode::LoadF: return "LoadF";
+      case Opcode::LoadI: return "LoadI";
+      case Opcode::Store: return "Store";
+      case Opcode::Transpose2d: return "Transpose2d";
+      case Opcode::MatmulOp: return "MatmulOp";
+      case Opcode::SubBroadcastOp: return "SubBroadcastOp";
+      case Opcode::DivElem: return "DivElem";
+      case Opcode::DivCosine: return "DivCosine";
+      case Opcode::NormOp: return "NormOp";
+      case Opcode::TopkOp: return "TopkOp";
+      case Opcode::SimilarityOp: return "SimilarityOp";
+      case Opcode::MergePartial: return "MergePartial";
+      case Opcode::CimAcquire: return "CimAcquire";
+      case Opcode::CamAllocBank: return "CamAllocBank";
+      case Opcode::CamAllocMat: return "CamAllocMat";
+      case Opcode::CamAllocArray: return "CamAllocArray";
+      case Opcode::CamAllocSubarray: return "CamAllocSubarray";
+      case Opcode::CamGetSubarray: return "CamGetSubarray";
+      case Opcode::CamWriteValue: return "CamWriteValue";
+      case Opcode::CamSearch: return "CamSearch";
+      case Opcode::CamRead: return "CamRead";
+      case Opcode::CamMergePartialSub: return "CamMergePartialSub";
+    }
+    return "?";
+}
+
+bool
+usesImm(Opcode op)
+{
+    switch (op) {
+      case Opcode::ConstInt:
+      case Opcode::CmpI:
+      case Opcode::CmpF:
+      case Opcode::CheckPosStep:
+      case Opcode::NormOp:
+      case Opcode::CamWriteValue:
+        return true;
+      default:
+        return false;
+    }
+}
+
+void
+printInstr(std::ostream &os, const Instr &in, std::size_t idx)
+{
+    os << "  " << std::setw(4) << idx << "  " << std::left
+       << std::setw(19) << opcodeName(in.op) << std::right;
+    if (in.r >= 0)
+        os << " r=s" << in.r;
+    if (in.r2 >= 0)
+        os << " r2=s" << in.r2;
+    if (in.a >= 0)
+        os << " a=s" << in.a;
+    if (in.b >= 0)
+        os << " b=s" << in.b;
+    if (in.c >= 0)
+        os << " c=s" << in.c;
+    if (!in.extra.empty()) {
+        os << " extra=[";
+        for (std::size_t k = 0; k < in.extra.size(); ++k)
+            os << (k ? "," : "") << "s" << in.extra[k];
+        os << "]";
+    }
+    if (in.target >= 0)
+        os << " -> @" << in.target;
+    if (in.aux >= 0)
+        os << " aux=#" << in.aux;
+    if (usesImm(in.op) || in.imm != 0)
+        os << " imm=" << in.imm;
+    if (in.op == Opcode::ConstFloat)
+        os << " fimm=" << in.fimm;
+    os << "\n";
+}
+
+/** A slot-or-immediate operand: "sN" for a slot, else the value. */
+void
+printSlotOr(std::ostream &os, std::int32_t slot, std::int64_t imm)
+{
+    if (slot >= 0)
+        os << "s" << slot;
+    else
+        os << imm;
+}
+
+} // namespace
+
+std::string
+ExecutionPlan::disassemble() const
+{
+    std::ostringstream os;
+    os << "plan '" << entry_ << "': " << numArgs_ << " args, "
+       << numSlots_ << " slots" << (phased_ ? ", phased" : "") << "\n";
+    os << "arg slots: [";
+    for (std::size_t i = 0; i < argSlots_.size(); ++i)
+        os << (i ? "," : "") << "s" << argSlots_[i];
+    os << "]\n";
+    auto printSliceDims = [&os](const std::vector<SliceDim> &dims) {
+        os << "[";
+        for (std::size_t k = 0; k < dims.size(); ++k) {
+            os << (k ? "," : "");
+            printSlotOr(os, dims[k].slot, dims[k].imm);
+        }
+        os << "]";
+    };
+    const std::pair<const char *, const std::vector<Instr> *> phases[] = {
+        {"full", &full_}, {"setup", &setup_}, {"query", &query_}};
+    for (const auto &[name, prog] : phases) {
+        os << "phase " << name << " (" << prog->size() << " instrs):\n";
+        for (std::size_t i = 0; i < prog->size(); ++i)
+            printInstr(os, (*prog)[i], i);
+    }
+    if (!slices_.empty()) {
+        os << "slices (" << slices_.size() << "):\n";
+        for (std::size_t i = 0; i < slices_.size(); ++i) {
+            os << "  #" << i << " offsets=";
+            printSliceDims(slices_[i].offsets);
+            os << " sizes=";
+            printSliceDims(slices_[i].sizes);
+            os << "\n";
+        }
+    }
+    if (!topks_.empty()) {
+        os << "topks (" << topks_.size() << "):\n";
+        for (std::size_t i = 0; i < topks_.size(); ++i) {
+            const TopkSpec &spec = topks_[i];
+            os << "  #" << i << " k=";
+            printSlotOr(os, spec.kSlot, spec.k);
+            os << " largest=" << (spec.largest ? 1 : 0)
+               << " postMergeCost=" << (spec.postMergeCost ? 1 : 0)
+               << "\n";
+        }
+    }
+    if (!searches_.empty()) {
+        os << "searches (" << searches_.size() << "):\n";
+        for (std::size_t i = 0; i < searches_.size(); ++i) {
+            const SearchSpec &spec = searches_[i];
+            os << "  #" << i << " kind=" << spec.kind
+               << " euclidean=" << (spec.euclidean ? 1 : 0)
+               << " selective=" << (spec.selective ? 1 : 0)
+               << " threshold=" << spec.threshold << " rows=[";
+            printSlotOr(os, spec.rowBeginSlot, spec.rowBegin);
+            os << ",";
+            printSlotOr(os, spec.rowEndSlot, spec.rowEnd);
+            os << ")\n";
+        }
+    }
+    return os.str();
 }
 
 } // namespace c4cam::rt

@@ -23,8 +23,11 @@
  *    cim.execute regions) is flattened into a branch-based
  *    instruction stream.
  *
- * Per-query execution is then a tight switch-on-opcode replay loop.
- * The plan compiles one instruction stream per execution phase
+ * Per-query execution is then a tight switch-on-opcode replay loop
+ * over exactly the bytecode compile() emitted. Scalar results are
+ * stored in place (RtValue::setInt/setFloat), so a loop's index slots
+ * are overwritten, never rebuilt. The plan compiles one instruction
+ * stream per execution phase
  * (Full / SetupOnly / QueryOnly, mirroring the phase-attribute
  * filtering of Interpreter::runTopLevel) over one shared slot
  * numbering, so a persistent PlanFrame carries setup-phase results
@@ -48,11 +51,10 @@
  * of bench_serving_throughput).
  *
  * A compiled plan holds no pointers into the IR: after compile() the
- * module is only needed to stay alive for the tree-walk fallback, not
- * for replay.
+ * module is not needed for replay. disassemble() lists the bytecode
+ * (c4cam-run --dump-plan).
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -128,92 +130,12 @@ enum class Opcode : std::uint8_t {
     CamSearch,      ///< aux = search spec
     CamRead,
     CamMergePartialSub, ///< in-place acc += partial, postMerge
-
-    // Optimizer-introduced ops (rt::PlanOptimizer). A raw compile()
-    // never emits these; replay still handles them so partially
-    // optimized plans stay executable.
-    Nop,          ///< placeholder left by a rewrite; compacted away
-    FusedIntPair, ///< imm = IntSub1 | IntSub2<<8 | chain bits: r = op1(a,b); r2 = op2(c,extra[0])
-    FusedFloatPair, ///< float twin of FusedIntPair (FloatSub codes)
-    FusedCopyPair,  ///< frame[r] = frame[a]; frame[r2] = frame[c]
-    FusedCmpBranch, ///< r = cmpi(a, b, imm&0xff); if !r: pc = target (r = -1: unstored)
-    FusedAddJump,   ///< r = a + b (ints); pc = target (loop back-edge)
-    FusedSubviewSearch, ///< r = subview(b, slices[aux]); search(a, r, searches[imm]) (r = -1: view stays local)
 };
 
 /** Integer compare predicates (pre-decoded from the "predicate" attr). */
 enum class CmpIPred : std::uint8_t { Eq, Ne, Slt, Sle, Sgt, Sge };
 /** Float compare predicates. */
 enum class CmpFPred : std::uint8_t { Olt, Ole, Ogt, Oge, Oeq };
-
-/// @name Fused-pair sub-op codes
-/// FusedIntPair/FusedFloatPair pack two of these into Instr::imm
-/// (op1 | op2 << 8). Deliberately dense 0-based codes rather than raw
-/// Opcode values: the replay decoder is a tiny always-inlined switch
-/// the compiler turns into a jump table, so a fused pair costs two
-/// arithmetic bodies + ONE dispatch -- the entire point of the fusion
-/// pass. Only rt::PlanOptimizer emits them.
-/// @{
-enum class IntSub : std::uint8_t { Add, Sub, Mul, Min, Max };
-enum class FloatSub : std::uint8_t { Add, Sub, Mul, Div, Min, Max };
-/// @}
-
-/// @name Fused-pair chain bits (imm bits 16/17)
-/// Set when op2's first/second operand is op1's result: replay forwards
-/// the value in a register instead of re-reading slot r (the operand
-/// field is cleared to -1). When every reader of r across the whole
-/// plan is chain-internal, the optimizer also drops the slot write
-/// (r = -1) -- the fused pair then costs two arithmetic bodies, one
-/// dispatch and ONE frame write, which is where fusion actually wins:
-/// in a predicted interpreter loop the dispatch itself is nearly free,
-/// the RtValue round-trips are not.
-/// @{
-inline constexpr std::int64_t kFusedChainX = std::int64_t{1} << 16;
-inline constexpr std::int64_t kFusedChainY = std::int64_t{1} << 17;
-/// @}
-
-/** Evaluate one packed IntSub code; invalid codes yield x (the
- *  optimizer is the only emitter, so they cannot occur in a plan). */
-inline std::int64_t
-evalIntSub(std::uint8_t code, std::int64_t x, std::int64_t y)
-{
-    switch (static_cast<IntSub>(code)) {
-      case IntSub::Add:
-        return x + y;
-      case IntSub::Sub:
-        return x - y;
-      case IntSub::Mul:
-        return x * y;
-      case IntSub::Min:
-        return std::min(x, y);
-      case IntSub::Max:
-        return std::max(x, y);
-    }
-    return x;
-}
-
-/** Evaluate one packed FloatSub code (see evalIntSub). */
-inline double
-evalFloatSub(std::uint8_t code, double x, double y)
-{
-    switch (static_cast<FloatSub>(code)) {
-      case FloatSub::Add:
-        return x + y;
-      case FloatSub::Sub:
-        return x - y;
-      case FloatSub::Mul:
-        return x * y;
-      case FloatSub::Div:
-        return x / y;
-      case FloatSub::Min:
-        // std::min/max, not bare comparisons: replay results must stay
-        // bit-identical to the unfused MinF/MaxF cases (NaN ordering).
-        return std::min(x, y);
-      case FloatSub::Max:
-        return std::max(x, y);
-    }
-    return x;
-}
 
 /** One replay instruction. Slot fields index the PlanFrame. */
 struct Instr
@@ -286,9 +208,10 @@ class ExecutionPlan
      * scopes; may be nullptr for host-only IR. @return the operands of
      * func.return (empty for SetupOnly). The frame persists across
      * calls, which is what makes Setup-then-repeated-Query replay
-     * work. @p executed_ops, when non-null, receives the number of
-     * instructions the replay actually executed (loop iterations
-     * included) -- the denominator of the dispatch microbench.
+     * work. @p executed_ops, when non-null, is incremented by the
+     * number of instructions the replay actually executed (loop
+     * iterations included); the benchmark reports it as
+     * runtime.ops_per_query.
      */
     std::vector<RtValue> run(PlanFrame &frame, sim::CamDevice *device,
                              const std::vector<RtValue> &args,
@@ -310,9 +233,12 @@ class ExecutionPlan
     /** Name of the compiled function. */
     const std::string &entry() const { return entry_; }
 
+    /** Human-readable listing of all three phase programs, the frame
+     *  layout and the decoded aux tables (c4cam-run --dump-plan). */
+    std::string disassemble() const;
+
   private:
     friend class PlanBuilder;
-    friend class PlanOptimizer;
 
     /// @name Aux tables (indexed by Instr::aux)
     /// @{

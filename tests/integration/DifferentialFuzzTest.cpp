@@ -7,8 +7,7 @@
  * population of kernel configurations -- shapes, query batch sizes,
  * top-k widths, subarray sizes, optimization targets, CAM device
  * types and lowering phases (device / host-cim / host-loops) -- and
- * asserts for every one of them that OPTIMIZED plan replay
- * (rt::PlanOptimizer pipeline), raw unoptimized plan replay and the
+ * asserts for every one of them that plan replay and the
  * tree-walking interpreter produce bit-identical outputs AND
  * bit-identical PerfReport JSON, both single-shot and through a
  * persistent session serving several queries.
@@ -192,42 +191,31 @@ TEST(DifferentialFuzz, PlanAndTreeWalkAgreeOnRandomConfigs)
 
         core::CompilerOptions walk_options = cfg.options;
         walk_options.treeWalkExecution = true;
-        core::CompilerOptions raw_options = cfg.options;
-        raw_options.optimizePlans = false;
         core::Compiler plan_compiler(cfg.options);
         core::CompiledKernel plan_kernel =
             plan_compiler.compileTorchScript(cfg.source);
-        core::Compiler raw_compiler(raw_options);
-        core::CompiledKernel raw_kernel =
-            raw_compiler.compileTorchScript(cfg.source);
         core::Compiler walk_compiler(walk_options);
         core::CompiledKernel walk_kernel =
             walk_compiler.compileTorchScript(cfg.source);
 
         FuzzData data = drawData(rng, cfg, kQueriesPerSession + 1);
 
-        // Single-shot differential, all three back ends.
+        // Single-shot differential.
         std::vector<rt::BufferPtr> args{data.queryBatches[0],
                                         data.stored};
         core::ExecutionResult via_plan = plan_kernel.run(args);
-        core::ExecutionResult via_raw = raw_kernel.run(args);
         core::ExecutionResult via_walk = walk_kernel.run(args);
-        expectOutputsBitIdentical(via_plan.outputs, via_raw.outputs);
-        expectReportJsonBitIdentical(via_plan.perf, via_raw.perf);
-        expectOutputsBitIdentical(via_raw.outputs, via_walk.outputs);
-        expectReportJsonBitIdentical(via_raw.perf, via_walk.perf);
+        expectOutputsBitIdentical(via_plan.outputs, via_walk.outputs);
+        expectReportJsonBitIdentical(via_plan.perf, via_walk.perf);
 
         // Session differential: serve several query batches through a
         // persistent session on each back end, comparing per-query
         // and aggregate accounting.
         core::ExecutionSession plan_session =
             plan_kernel.createSession(args);
-        core::ExecutionSession raw_session =
-            raw_kernel.createSession(args);
         core::ExecutionSession walk_session =
             walk_kernel.createSession(args);
         EXPECT_TRUE(plan_session.usesPlan());
-        EXPECT_TRUE(raw_session.usesPlan());
         EXPECT_FALSE(walk_session.usesPlan());
         // Tracing must be a pure observer: run the plan session with a
         // live collector while the tree-walk session stays untraced,
@@ -240,16 +228,11 @@ TEST(DifferentialFuzz, PlanAndTreeWalkAgreeOnRandomConfigs)
             std::vector<rt::BufferPtr> query_args{data.queryBatches[q],
                                                   data.stored};
             core::ExecutionResult p = plan_session.runQuery(query_args);
-            core::ExecutionResult r = raw_session.runQuery(query_args);
             core::ExecutionResult w = walk_session.runQuery(query_args);
-            expectOutputsBitIdentical(p.outputs, r.outputs);
-            expectReportJsonBitIdentical(p.perf, r.perf);
-            expectOutputsBitIdentical(r.outputs, w.outputs);
-            expectReportJsonBitIdentical(r.perf, w.perf);
+            expectOutputsBitIdentical(p.outputs, w.outputs);
+            expectReportJsonBitIdentical(p.perf, w.perf);
         }
         expectReportJsonBitIdentical(plan_session.aggregateReport(),
-                                     raw_session.aggregateReport());
-        expectReportJsonBitIdentical(raw_session.aggregateReport(),
                                      walk_session.aggregateReport());
         // The traced session really did record: one query/execute/
         // merge triple per runQuery (plus plan-replay spans on the

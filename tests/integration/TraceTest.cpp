@@ -207,39 +207,49 @@ TEST(TraceIntegration, AsyncFusedDispatchTagsGroupWidth)
 {
     // One dispatcher + a deep backlog: groups coalesce, and both the
     // dispatch span and the group's fuse-decision marker carry the
-    // fused width.
-    TraceCollector collector;
-    core::AsyncServingOptions options;
-    options.queueCapacity = 64;
-    options.dispatchers = 1;
-    options.fuseMaxK = 4;
-    options.trace = &collector;
-    auto engine = workload().kernel.createAsyncServingEngine(
-        workload().queryFor(0), 1, options);
+    // fused width. Whether the backlog builds depends on the host's
+    // submit/serve speed ratio, so the burst retries a few times, each
+    // on a fresh engine (as AsyncServing.MicroBatchingFusesUnderLoadOnly
+    // does); the span-vs-stats equalities are asserted on every burst,
+    // and at least one burst must have fused.
+    std::int64_t fused_windows = 0;
+    for (int attempt = 0; attempt < 5 && fused_windows == 0; ++attempt) {
+        SCOPED_TRACE("burst " + std::to_string(attempt));
+        TraceCollector collector;
+        core::AsyncServingOptions options;
+        options.queueCapacity = 64;
+        options.dispatchers = 1;
+        options.fuseMaxK = 4;
+        options.trace = &collector;
+        auto engine = workload().kernel.createAsyncServingEngine(
+            workload().queryFor(0), 1, options);
 
-    const std::int64_t n = 48;
-    std::vector<std::future<core::ExecutionResult>> futures;
-    for (std::int64_t i = 0; i < n; ++i)
-        futures.push_back(engine->submit(workload().queryFor(i % kRows)));
-    for (auto &f : futures)
-        f.get();
-    engine->drain();
-    core::AsyncServingStats stats = engine->stats();
-    ASSERT_GT(stats.fusedWindows, 0);
+        const std::int64_t n = 48;
+        std::vector<std::future<core::ExecutionResult>> futures;
+        for (std::int64_t i = 0; i < n; ++i)
+            futures.push_back(
+                engine->submit(workload().queryFor(i % kRows)));
+        for (auto &f : futures)
+            f.get();
+        engine->drain();
+        core::AsyncServingStats stats = engine->stats();
 
-    std::int64_t fused_dispatches = 0, fused_decisions = 0;
-    for (const TraceEvent &ev : collector.snapshot()) {
-        std::string name = ev.name;
-        if (name == "dispatch" && ev.fusedK >= 2) {
-            ++fused_dispatches;
-            EXPECT_LE(ev.fusedK, 4);
+        std::int64_t fused_dispatches = 0, fused_decisions = 0;
+        for (const TraceEvent &ev : collector.snapshot()) {
+            std::string name = ev.name;
+            if (name == "dispatch" && ev.fusedK >= 2) {
+                ++fused_dispatches;
+                EXPECT_LE(ev.fusedK, 4);
+            }
+            if (name == "fuse-decision" && ev.fusedK >= 2) {
+                ++fused_decisions;
+            }
         }
-        if (name == "fuse-decision" && ev.fusedK >= 2) {
-            ++fused_decisions;
-        }
+        EXPECT_EQ(fused_dispatches, stats.fusedQueries);
+        EXPECT_EQ(fused_decisions, stats.fusedWindows);
+        fused_windows = stats.fusedWindows;
     }
-    EXPECT_EQ(fused_dispatches, stats.fusedQueries);
-    EXPECT_EQ(fused_decisions, stats.fusedWindows);
+    EXPECT_GT(fused_windows, 0);
 }
 
 TEST(TraceIntegration, SessionRecordsExecuteAndMergePerQuery)

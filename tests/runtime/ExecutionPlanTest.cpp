@@ -1,9 +1,9 @@
 /**
  * @file
- * Execution-plan tests: compilation, slot numbering, and the
- * differential contract -- every tier-1 kernel must produce
- * bit-identical outputs and PerfReports under tree-walk, plan-replay
- * and fused-batch (K=1) execution.
+ * Execution-plan tests: compilation, the vocabulary error, the
+ * disassembler, and the differential contract -- every tier-1 kernel
+ * must produce bit-identical outputs and PerfReports under tree-walk,
+ * plan-replay and fused-batch (K=1) execution.
  */
 
 #include <gtest/gtest.h>
@@ -299,6 +299,49 @@ TEST(ExecutionPlan, UnknownOpDiagnosticNamesFunctionAndNearest)
         EXPECT_NE(msg.find("typo_kernel"), std::string::npos) << msg;
         EXPECT_NE(msg.find("arith.constant"), std::string::npos) << msg;
     }
+}
+
+TEST(ExecutionPlan, OpOutsideVocabularyFailsThePlanCompile)
+{
+    core::CompilerOptions options;
+    options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    core::Compiler compiler(options);
+    core::CompiledKernel kernel = compiler.compileTorchScript(
+        apps::dotSimilaritySource(1, 8, 64, 1));
+    // crossbar.* ops are registered, so the module still verifies, but
+    // neither back end executes them: the kernel must not quietly fall
+    // back to the tree walk, which would reject the op later.
+    ir::Module &module = kernel.module();
+    ir::Operation *func = module.lookupFunction(kernel.entryPoint());
+    ir::OpBuilder builder(module.context());
+    builder.setInsertionPointToStart(&func->region(0).front());
+    builder.create("crossbar.release", {builder.constantIndex(0)}, {});
+    try {
+        kernel.executionPlan();
+        FAIL() << "expected CompilerError";
+    } catch (const CompilerError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("crossbar.release"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("plan compiler"), std::string::npos) << msg;
+    }
+}
+
+TEST(ExecutionPlan, DisassembleListsPhasesAndSpecs)
+{
+    core::CompilerOptions options;
+    options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    core::Compiler compiler(options);
+    core::CompiledKernel kernel = compiler.compileTorchScript(
+        apps::dotSimilaritySource(1, 8, 64, 1));
+    std::string dump = kernel.executionPlan()->disassemble();
+    EXPECT_NE(dump.find("arg slots"), std::string::npos);
+    EXPECT_NE(dump.find("phase full"), std::string::npos);
+    EXPECT_NE(dump.find("phase setup"), std::string::npos);
+    EXPECT_NE(dump.find("phase query"), std::string::npos);
+    EXPECT_NE(dump.find("Subview"), std::string::npos);
+    EXPECT_NE(dump.find("CamSearch"), std::string::npos);
+    EXPECT_NE(dump.find("slices ("), std::string::npos);
+    EXPECT_NE(dump.find("searches ("), std::string::npos);
 }
 
 TEST(ExecutionPlan, ModuleMutationInvalidatesCachedPlan)

@@ -60,15 +60,12 @@
  * counter line (and a "recovery" object under "async" in --json)
  * reports retries / deadline sheds / quarantines / degraded serves.
  *
- * Plan-pipeline introspection: --dump-plan[=FILE] disassembles the
- * kernel's compiled (optimized) ExecutionPlan; --plan-opt-debug prints
- * the per-pass before/after bytecode of the rt::PlanOptimizer pipeline
- * on this kernel; --no-plan-opt replays the raw 1:1 plan instead of
- * the optimized one (differential testing, like --tree-walk one level
- * up). Every run reports the process-wide PlanCache counters (text
- * line and "plan_cache" object in --json); with --trace-out, compiles
- * and cache hits additionally appear as plan-compile/plan-cache-hit
- * spans.
+ * Plan introspection: --dump-plan[=FILE] disassembles the bytecode
+ * of the kernel's compiled ExecutionPlan, the exact instruction
+ * streams every query replays. Every run reports the process-wide
+ * PlanCache counters (text line and "plan_cache" object in --json);
+ * with --trace-out, compiles and cache hits additionally appear as
+ * plan-compile/plan-cache-hit spans.
  */
 
 #include <deque>
@@ -91,7 +88,6 @@
 #include "core/ShardedEngine.h"
 #include "dialects/BuiltinDialect.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/PlanOptimizer.h"
 #include "sim/FaultInjector.h"
 #include "support/CliParse.h"
 #include "support/Error.h"
@@ -113,7 +109,6 @@ usage()
               << " [--queue-depth N]"
               << " [--policy block|reject|drop-oldest] [--fuse-k N]"
               << " [--trace-out FILE] [--dump-plan[=FILE]]"
-              << " [--plan-opt-debug] [--no-plan-opt]"
               << " [--fusion-model]"
               << " [--fault-spec FILE] [--fault-rate X] [--retries N]"
               << " [--deadline-us N] [--allow-degraded]\n";
@@ -181,11 +176,9 @@ main(int argc, char **argv)
     bool host_only = false;
     bool json = false;
     bool tree_walk = false;
-    bool no_plan_opt = false;
     bool true_fused = false;
     bool dump_plan = false;
     std::string dump_plan_path;
-    bool plan_opt_debug = false;
     bool use_async = false;
     bool async_flags_seen = false; // --queue-depth/--policy/--fuse-k
     long long batch = 0;
@@ -284,10 +277,6 @@ main(int argc, char **argv)
             // tree-walking interpreter instead of the compiled
             // execution plan (results must be bit-identical).
             tree_walk = true;
-        } else if (arg == "--no-plan-opt") {
-            // One level up from --tree-walk: still replay a compiled
-            // plan, but the raw transcription, not the optimized one.
-            no_plan_opt = true;
         } else if (arg == "--fusion-model") {
             // True fused-search device model: fused windows charge the
             // precharge/drive once per pass instead of re-attributing
@@ -300,8 +289,6 @@ main(int argc, char **argv)
             dump_plan_path = arg.substr(std::string("--dump-plan=").size());
             if (dump_plan_path.empty())
                 return usage();
-        } else if (arg == "--plan-opt-debug") {
-            plan_opt_debug = true;
         } else if (arg == "--help" || arg == "-h") {
             return usage();
         } else if (input_path.empty()) {
@@ -381,7 +368,6 @@ main(int argc, char **argv)
             options.spec = arch::ArchSpec::fromFile(arch_path);
         options.hostOnly = host_only;
         options.treeWalkExecution = tree_walk;
-        options.optimizePlans = !no_plan_opt;
         options.fusionModel = true_fused ? sim::FusionModel::TrueFused
                                          : sim::FusionModel::ExactSerial;
 
@@ -421,10 +407,9 @@ main(int argc, char **argv)
 
         if (dump_plan) {
             auto plan = kernel.executionPlan();
-            C4CAM_CHECK(plan, "--dump-plan: the kernel has no compiled "
-                        "plan (tree-walk mode, or the module is outside "
-                        "the plan compiler's vocabulary)");
-            std::string text = rt::PlanOptimizer::disassemble(*plan);
+            C4CAM_CHECK(plan, "--dump-plan: --tree-walk compiles no "
+                        "plan");
+            std::string text = plan->disassemble();
             if (dump_plan_path.empty()) {
                 std::cout << text;
             } else {
@@ -434,27 +419,6 @@ main(int argc, char **argv)
                 out << text;
             }
         }
-        if (plan_opt_debug) {
-            // Re-derive the raw transcription and re-run the optimizer
-            // with snapshots on, so the printed pipeline matches this
-            // kernel even when the cached plan skipped the passes.
-            auto raw = rt::ExecutionPlan::compile(
-                std::as_const(kernel).module(), kernel.entryPoint());
-            rt::PlanOptOptions dbg;
-            dbg.collectDumps = true;
-            rt::PlanOptReport report;
-            rt::PlanOptimizer::optimize(*raw, dbg, &report);
-            for (const auto &d : report.passDumps)
-                std::cout << "=== " << d.first << " ===\n" << d.second;
-            std::cout << "plan-opt: folded " << report.foldedInstructions
-                      << ", hoisted " << report.hoistedSubviews
-                      << ", fused " << report.fusedSuperops
-                      << ", collapsed " << report.collapsedWrites
-                      << ", removed " << report.removedInstructions
-                      << "; slots " << report.slotsBefore << " -> "
-                      << report.slotsAfter << "\n";
-        }
-
         if (print_ir)
             std::cout << std::as_const(kernel).module().str() << "\n";
 
