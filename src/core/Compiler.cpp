@@ -15,7 +15,6 @@
 #include "passes/CimToLoops.h"
 #include "passes/TorchToCim.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/Interpreter.h"
 #include "support/Error.h"
 
 namespace c4cam::core {
@@ -107,38 +106,13 @@ runKernelOnce(ir::Module &module, const std::string &entry,
               const std::vector<rt::BufferPtr> &args,
               const rt::ExecutionPlan *plan)
 {
-    ExecutionResult result;
-    std::vector<rt::RtValue> rt_args;
-    rt_args.reserve(args.size());
-    for (const rt::BufferPtr &arg : args)
-        rt_args.emplace_back(arg);
-
-    if (options.treeWalkExecution)
-        plan = nullptr;
-
-    if (options.hostOnly) {
-        if (plan) {
-            rt::PlanFrame frame = plan->makeFrame();
-            result.outputs = plan->run(frame, nullptr, rt_args);
-        } else {
-            rt::Interpreter interpreter(module, nullptr);
-            result.outputs = interpreter.callFunction(entry, rt_args);
-        }
-        return result;
-    }
-
-    sim::CamDevice device(options.spec);
-    device.setFusionModel(options.fusionModel);
-    if (plan) {
-        rt::PlanFrame frame = plan->makeFrame();
-        result.outputs = plan->run(frame, &device, rt_args);
-    } else {
-        rt::Interpreter interpreter(module, &device);
-        result.outputs = interpreter.callFunction(entry, rt_args);
-    }
-    result.perf = device.report();
-    result.perf.queriesServed = 1;
-    return result;
+    // The session lives only for this call, so it may borrow the plan
+    // through a non-owning pointer.
+    ExecutionSession session(
+        nullptr, module, options, entry, args,
+        std::shared_ptr<const rt::ExecutionPlan>(
+            std::shared_ptr<const rt::ExecutionPlan>(), plan));
+    return session.serve(args);
 }
 
 ExecutionResult

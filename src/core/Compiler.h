@@ -92,14 +92,16 @@ class AsyncServingEngine;
 struct AsyncServingOptions;
 
 /**
- * Execute @p entry of @p module once on fresh state: a new CamDevice
- * for the device path, host interpretation when @p options.hostOnly.
- * Shared by CompiledKernel::run() and non-persistent sessions so the
- * two paths cannot diverge in accounting. Thread-safe: every call
- * builds its own device and ExecutionState/PlanFrame; the module is
- * only read. When @p plan is non-null (and tree-walk execution is not
- * forced), the call replays the plan instead of walking the IR --
- * same outputs, same accounting, a fraction of the host time.
+ * Execute @p entry of @p module once: a fresh ExecutionSession (setup
+ * on a new CamDevice for a phased kernel, nothing for a host-only one)
+ * that serves @p args as its one query. Single-shot runs therefore
+ * take the same device primitive as sessions, replica pools and
+ * shards, and validate @p args the same way (CompilerError on a wrong
+ * arity, a null argument or a tensor shape the kernel was not
+ * compiled for). Thread-safe: every call builds its own device and
+ * frame; the module is only read. @p plan, when non-null, is borrowed
+ * for the call; when null the session compiles the plan through the
+ * PlanCache (or walks the IR with options.treeWalkExecution).
  */
 ExecutionResult runKernelOnce(ir::Module &module, const std::string &entry,
                               const CompilerOptions &options,
@@ -165,14 +167,16 @@ class CompiledKernel
     const std::string &entryPoint() const { return entry_; }
 
     /**
-     * Execute with fresh simulator state.
+     * Execute once with fresh simulator state: runKernelOnce(), i.e.
+     * a fresh session's setup plus one query. Throws CompilerError
+     * when @p args do not match the kernel signature.
      * @param args one tensor per function parameter.
      */
     ExecutionResult run(const std::vector<rt::BufferPtr> &args);
 
     /**
-     * Open a persistent execution session: allocates the device and
-     * programs the stored data once (setup phase); each subsequent
+     * Open an execution session: allocates the device and programs
+     * the stored data once (setup phase); each subsequent
      * ExecutionSession::runQuery() re-enters only the search body.
      * @param setup_args one tensor per function parameter; the stored
      *        tensor is programmed into CAM here.

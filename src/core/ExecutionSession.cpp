@@ -1,32 +1,11 @@
 #include "core/ExecutionSession.h"
 
-#include <algorithm>
-
+#include "dialects/cam/CamDialect.h"
 #include "support/Error.h"
 
 namespace c4cam::core {
 
 using Clock = ServingRecorder::Clock;
-
-sim::PerfReport
-nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
-{
-    sim::PerfReport setup;
-    for (const ExecutionResult &r : results) {
-        setup.setupLatencyNs += r.perf.setupLatencyNs;
-        setup.setupEnergyPj += r.perf.setupEnergyPj;
-        setup.writes += r.perf.writes;
-        // High-water marks, not last-run snapshots (the same rule the
-        // full-run aggregate folds by): a heterogeneous batch must not
-        // let the final run misreport utilization().
-        setup.subarraysUsed =
-            std::max(setup.subarraysUsed, r.perf.subarraysUsed);
-        setup.subarraysAllocated =
-            std::max(setup.subarraysAllocated, r.perf.subarraysAllocated);
-        setup.banksUsed = std::max(setup.banksUsed, r.perf.banksUsed);
-    }
-    return setup;
-}
 
 ExecutionSession::ExecutionSession(
     std::shared_ptr<ir::Context> ctx, ir::Module &module,
@@ -46,28 +25,28 @@ ExecutionSession::ExecutionSession(
     else if (!plan_)
         plan_ = tryCompilePlan(*module_, entry_, options_);
 
-    persistent_ = !options_.hostOnly &&
-                  rt::Interpreter::hasPhaseMarkers(func);
-    if (persistent_) {
+    // Only a phased kernel has a setup phase to program a device
+    // with; a host-only kernel's setup runs nothing.
+    if (dialects::cam::hasPhaseMarkers(func)) {
         device_ = std::make_unique<sim::CamDevice>(options_.spec);
         // Clones inherit the model via cloneProgrammed's copy, so a
         // replica pool fuses under one accounting regime.
         device_->setFusionModel(options_.fusionModel);
-        if (plan_) {
-            frame_ = plan_->makeFrame();
-            plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
-                       rt::ExecutionPlan::ExecPhase::SetupOnly);
-        } else {
-            interpreter_ = std::make_shared<rt::Interpreter>(*module_);
-            state_ = rt::ExecutionState(device_.get());
-            interpreter_->callFunction(state_, entry_,
-                                       rt::toRtValues(setup_args),
-                                       rt::Interpreter::ExecPhase::SetupOnly);
-        }
-        setupReport_ = device_->report();
     }
-    // Non-persistent sessions fall back to full re-execution per query.
-    recorder_ = std::make_unique<ServingRecorder>(setupReport_, persistent_);
+    if (plan_) {
+        frame_ = plan_->makeFrame();
+        plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
+                   rt::ExecutionPlan::ExecPhase::SetupOnly);
+    } else {
+        interpreter_ = std::make_shared<rt::Interpreter>(*module_);
+        state_ = rt::ExecutionState(device_.get());
+        interpreter_->callFunction(state_, entry_,
+                                   rt::toRtValues(setup_args),
+                                   rt::Interpreter::ExecPhase::SetupOnly);
+    }
+    if (device_)
+        setupReport_ = device_->report();
+    recorder_ = std::make_unique<ServingRecorder>(setupReport_);
 }
 
 ExecutionSession
@@ -81,21 +60,18 @@ ExecutionSession::clone() const
     copy.entryBody_ = entryBody_;
     copy.interpreter_ = interpreter_;
     copy.plan_ = plan_;
-    copy.persistent_ = persistent_;
     copy.setupReport_ = setupReport_;
-    if (persistent_) {
-        // The clone copies the programmed cells, the setup accounting
-        // and the handle numbering, so a forked slot frame (setup
-        // results are immutable once programmed) or a forked
-        // interpreter state keeps addressing the right subarrays.
+    // The device clone copies the programmed cells, the setup
+    // accounting and the handle numbering, so a forked slot frame
+    // (setup results are immutable once programmed) or a forked
+    // interpreter state keeps addressing the right subarrays.
+    if (device_)
         copy.device_ = device_->cloneProgrammed();
-        if (plan_)
-            copy.frame_ = plan_->forkFrame(frame_);
-        else
-            copy.state_ = state_.forkForReplica(copy.device_.get());
-    }
-    copy.recorder_ =
-        std::make_unique<ServingRecorder>(setupReport_, persistent_);
+    if (plan_)
+        copy.frame_ = plan_->forkFrame(frame_);
+    else
+        copy.state_ = state_.forkForReplica(copy.device_.get());
+    copy.recorder_ = std::make_unique<ServingRecorder>(setupReport_);
     return copy;
 }
 
@@ -131,35 +107,29 @@ ExecutionSession::serve(const std::vector<rt::BufferPtr> &args,
 
     ExecutionResult result;
     try {
-        if (!persistent_) {
-            result = runKernelOnce(*module_, entry_, options_, args,
-                                   plan_.get());
-        } else {
-            // Fresh accounting window: this query's report covers
-            // exactly this call on top of the shared setup,
-            // bit-identical to a single-shot run.
+        // Fresh accounting window: this query's report covers exactly
+        // this call on top of the shared setup.
+        if (device_)
             device_->beginQueryWindow();
-            if (plan_) {
-                if (col)
-                    frame_.trace = support::SpanContext{
-                        col, ctx->traceId, ctx->queryId, execSpan};
-                result.outputs =
-                    plan_->run(frame_, device_.get(), rt::toRtValues(args),
-                               rt::ExecutionPlan::ExecPhase::QueryOnly);
-                frame_.trace = support::SpanContext{};
-            } else {
-                result.outputs = interpreter_->callFunction(
-                    state_, entry_, rt::toRtValues(args),
-                    rt::Interpreter::ExecPhase::QueryOnly);
-            }
+        if (plan_) {
+            if (col)
+                frame_.trace = support::SpanContext{
+                    col, ctx->traceId, ctx->queryId, execSpan};
+            result.outputs =
+                plan_->run(frame_, device_.get(), rt::toRtValues(args),
+                           rt::ExecutionPlan::ExecPhase::QueryOnly);
+            frame_.trace = support::SpanContext{};
+        } else {
+            result.outputs = interpreter_->callFunction(
+                state_, entry_, rt::toRtValues(args),
+                rt::Interpreter::ExecPhase::QueryOnly);
         }
     } catch (...) {
         // The unwind left timing scopes (and any fused window) open;
         // roll back to a servable between-queries state.
-        if (persistent_) {
-            frame_.trace = support::SpanContext{};
+        frame_.trace = support::SpanContext{};
+        if (device_)
             device_->abortQueryWindow();
-        }
         if (col) {
             // A fault mid-replay may already have recorded children
             // under this execute span (the plan's RAII "plan-replay"
@@ -173,7 +143,7 @@ ExecutionSession::serve(const std::vector<rt::BufferPtr> &args,
         throw;
     }
     double e1 = col ? col->nowUs() : 0.0;
-    if (persistent_) {
+    if (device_) {
         // Merge stage: render the window into the report.
         result.perf = device_->report();
         result.perf.queriesServed = 1;
@@ -201,21 +171,16 @@ ExecutionSession::serveFusedChunk(
     FusedBatchResult batch;
     batch.results.reserve(n);
 
-    if (!persistent_) {
-        // Non-persistent fallback (host-only kernels, or device
-        // kernels without phase markers): no programmed device to
-        // open a fused window on; synthesize the fused accounting
-        // from the per-query reports. Setup was re-paid per query, so
-        // the fused report carries the summed setup, not this
-        // session's (empty) one-time setup.
+    if (!device_) {
+        // Host-only: no device to open a fused window on; synthesize
+        // the fused accounting from the per-query reports.
         for (std::size_t i = begin; i < end; ++i)
             batch.results.push_back(
                 serve(queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
         batch.fused.k = static_cast<std::int64_t>(n);
         for (const auto &r : batch.results)
             batch.fused.addQueryReport(r.perf);
-        batch.fusedReport =
-            batch.fused.toReport(nonPersistentSetupTotal(batch.results));
+        batch.fusedReport = batch.fused.toReport(setupReport_);
         return batch;
     }
 

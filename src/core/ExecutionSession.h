@@ -3,14 +3,15 @@
 
 /**
  * @file
- * Persistent CAM execution sessions: program the device once, serve
- * many queries.
+ * CAM execution sessions: program the device once, serve many
+ * queries.
  *
  * The paper's execution model (§III-D) splits cost into a one-time
  * *setup* phase (programming stored data into subarrays) and a
- * per-query *search* phase. CompiledKernel::run() pays both on every
- * call because it rebuilds the whole CamDevice. An ExecutionSession
- * keeps the device and interpreter alive across calls instead:
+ * per-query *search* phase. That split is the only way a kernel
+ * executes: CompiledKernel::run() is a fresh session serving its
+ * arguments once, so it pays setup on every call. A session keeps
+ * the device and frame alive across calls instead:
  *
  * @code
  *   core::CompiledKernel kernel = compiler.compileTorchScript(src);
@@ -84,21 +85,12 @@ struct FusedBatchResult
 };
 
 /**
- * Setup cost of a *non-persistent* fused batch: every full re-run
- * re-pays setup, so the synthesized fused report must carry the
- * summed setup fields of the per-query reports -- never claim free
- * setup. Shared by the session and sharded-engine fallback paths.
- */
-sim::PerfReport
-nonPersistentSetupTotal(const std::vector<ExecutionResult> &results);
-
-/**
  * A live kernel instance on a programmed CAM device.
  *
- * Sessions require the cam-mapped device path. For host-only kernels
- * (no cam ops, nothing to keep programmed) the session transparently
- * falls back to full re-execution per query; persistent() tells the
- * two modes apart.
+ * A session has a device exactly when its kernel carries phase
+ * markers, which covers every cam-mapped kernel. A host-only kernel
+ * has no setup phase and no device: each query runs the whole
+ * function on the host, and its PerfReport stays zero.
  *
  * Execution back end: when a compiled ExecutionPlan is available (the
  * default), the setup prologue and every query are *replayed* through
@@ -230,13 +222,6 @@ class ExecutionSession
      *  runFusedBatch() so far. */
     std::int64_t queriesServed() const { return recorder_->queriesServed(); }
 
-    /**
-     * True when the device stays programmed across queries (cam-mapped
-     * kernels); false for the host-only fallback that re-runs the full
-     * kernel (and re-pays setup) on every call.
-     */
-    bool persistent() const { return persistent_; }
-
     /** True when queries replay the compiled plan (vs tree-walking). */
     bool usesPlan() const { return plan_ != nullptr; }
 
@@ -286,7 +271,7 @@ class ExecutionSession
     /** Persistent slot frame (the plan path's SSA environment). */
     rt::PlanFrame frame_;
 
-    bool persistent_ = false;
+    /** One-time setup cost (all zero without a device). */
     sim::PerfReport setupReport_;
     /** Aggregate, counters and root spans of runQuery()/runBatch()/
      *  runFusedBatch() (heap-held so the session stays movable). */

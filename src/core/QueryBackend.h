@@ -22,7 +22,8 @@
  *
  * Both serve every device query through the one primitive,
  * ExecutionSession::serve(), and keep their statistics and root
- * spans in a ServingRecorder.
+ * spans in a ServingRecorder. Host-only kernels take the same path:
+ * their sessions have no device and report all-zero PerfReports.
  *
  * Contract highlights:
  *  - serve()/serveFusedChunk() may assume validateQuery() passed for
@@ -104,10 +105,6 @@ class QueryBackend
 
     /** One-time simulated setup cost of programming the backend. */
     virtual const sim::PerfReport &setupReport() const = 0;
-
-    /** True when devices stay programmed across queries (vs the
-     *  host-only fallback that re-pays setup per query). */
-    virtual bool persistent() const = 0;
 
     /**
      * How many serve() calls make progress in parallel (replica

@@ -43,7 +43,7 @@ class ServingEngine::Lease
 };
 
 ServingEngine::ServingEngine(ExecutionSession master, int replicas)
-    : recorder_(master.setupReport(), master.persistent())
+    : recorder_(master.setupReport())
 {
     C4CAM_CHECK(replicas >= 1,
                 "ServingEngine needs at least 1 replica, got " << replicas);

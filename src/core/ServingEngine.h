@@ -62,8 +62,8 @@ namespace c4cam::core {
  * N cloned ExecutionSessions behind a free-list.
  *
  * For host-only kernels (no cam ops, nothing programmed) the clones
- * run independent full executions per query -- still parallel, just
- * without persistent devices; persistent() tells the modes apart.
+ * have no device and run the whole function per query -- still
+ * parallel, with all-zero PerfReports.
  *
  * The engine borrows the kernel's lowered module: the CompiledKernel
  * must outlive (and not be moved while used by) its engines. Prefer
@@ -183,11 +183,6 @@ class ServingEngine : public QueryBackend
     const sim::PerfReport &setupReport() const override
     {
         return replicas_.front()->setupReport();
-    }
-
-    bool persistent() const override
-    {
-        return replicas_.front()->persistent();
     }
 
     int numReplicas() const { return static_cast<int>(replicas_.size()); }

@@ -2,9 +2,8 @@
 
 namespace c4cam::core {
 
-ServingRecorder::ServingRecorder(const sim::PerfReport &setup,
-                                 bool persistent)
-    : persistent_(persistent), aggregate_(setup)
+ServingRecorder::ServingRecorder(const sim::PerfReport &setup)
+    : aggregate_(setup)
 {
 }
 
@@ -67,10 +66,7 @@ ServingRecorder::recordLocked(const sim::PerfReport &perf,
                               Clock::time_point start,
                               Clock::time_point done)
 {
-    if (persistent_)
-        aggregate_.addQueryWindow(perf);
-    else
-        aggregate_.addFullRun(perf);
+    aggregate_.addQueryWindow(perf);
     latenciesUs_.record(
         std::chrono::duration<double, std::micro>(done - start).count());
     if (queriesServed_ == 0 || start < firstSubmit_)

@@ -13,7 +13,7 @@
  * span. ServingRecorder is that bookkeeping, written once:
  *
  * @code
- *   core::ServingRecorder recorder(setup_report, persistent);
+ *   core::ServingRecorder recorder(setup_report);
  *   support::SpanContext root;
  *   const support::SpanContext *ctx = caller_ctx;
  *   bool own_root = recorder.openRoot(ctx, root);
@@ -101,12 +101,11 @@ class ServingRecorder
     using Clock = std::chrono::steady_clock;
 
     /**
-     * @p setup seeds the aggregate (setup is paid once). @p persistent
-     * picks how served reports fold in: a query window on top of that
-     * setup (PerfReport::addQueryWindow), or a full re-run that
-     * re-paid setup (PerfReport::addFullRun, the host-only fallback).
+     * @p setup seeds the aggregate (setup is paid once); every served
+     * report folds in as a query window on top of it
+     * (PerfReport::addQueryWindow).
      */
-    ServingRecorder(const sim::PerfReport &setup, bool persistent);
+    explicit ServingRecorder(const sim::PerfReport &setup);
 
     ServingRecorder(const ServingRecorder &) = delete;
     ServingRecorder &operator=(const ServingRecorder &) = delete;
@@ -170,8 +169,6 @@ class ServingRecorder
   private:
     void recordLocked(const sim::PerfReport &perf, Clock::time_point start,
                       Clock::time_point done);
-
-    const bool persistent_;
 
     support::TraceCollector *trace_ = nullptr;
     std::uint64_t traceId_ = 0;

@@ -167,8 +167,7 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
         shards_.push_back(std::move(shard));
     }
     setupReport_ = sim::aggregateShardReports(setups);
-    persistent_ = shards_.front().engine->persistent();
-    recorder_ = std::make_unique<ServingRecorder>(setupReport_, persistent_);
+    recorder_ = std::make_unique<ServingRecorder>(setupReport_);
 
     support::ThreadPoolOptions pool_options;
     pool_options.threads = shards_.size() *
@@ -654,9 +653,7 @@ ShardedEngine::serveFusedChunk(
         std::lock_guard<std::mutex> lock(healthMutex_);
         degradedServes_ += static_cast<std::int64_t>(n);
     }
-    batch.fusedReport = batch.fused.toReport(
-        persistent_ ? setupReport_
-                    : nonPersistentSetupTotal(batch.results));
+    batch.fusedReport = batch.fused.toReport(setupReport_);
     Clock::time_point t2 = Clock::now();
 
     recorder_->recordChunk(batch.results, t0, t2);

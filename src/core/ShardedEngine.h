@@ -191,8 +191,6 @@ class ShardedEngine : public QueryBackend
         return setupReport_;
     }
 
-    bool persistent() const override { return persistent_; }
-
     /** One serve() makes progress per shard-replica set. */
     int concurrency() const override { return replicasPerShard_; }
 
@@ -290,7 +288,6 @@ class ShardedEngine : public QueryBackend
     ShardPlan plan_;
     std::int64_t topK_ = 0;
     bool mergeLargest_ = false;
-    bool persistent_ = false;
 
     /** Full-size reference kernel: provides the unsharded signature
      *  for validateQuery() and the lowered module the final top-k's

@@ -32,6 +32,17 @@ subarrayIdType(Context &ctx)
     return ctx.opaqueType("cam", "subarray_id");
 }
 
+bool
+hasPhaseMarkers(Operation *func)
+{
+    if (!func || func->numRegions() == 0)
+        return false;
+    for (Operation *op : func->region(0).front().opVector())
+        if (op->strAttrOr(kPhaseAttr, "") == kPhaseQuery)
+            return true;
+    return false;
+}
+
 namespace {
 
 void

@@ -60,6 +60,14 @@ inline constexpr const char *kPhaseAttr = "phase";
 inline constexpr const char *kPhaseSetup = "setup";
 inline constexpr const char *kPhaseQuery = "query";
 
+/**
+ * Whether function @p func carries the phase markers, i.e. at least
+ * one top-level op is tagged phase="query". A function without them
+ * (every host-only kernel) has no setup phase: both back ends run
+ * nothing for its setup and the whole function as its query.
+ */
+bool hasPhaseMarkers(ir::Operation *func);
+
 /** Handle types. */
 ir::Type bankIdType(ir::Context &ctx);
 ir::Type matIdType(ir::Context &ctx);

@@ -14,7 +14,7 @@
  * regions (block arguments before the block's own ops) -- so the slot
  * of a value never depends on which execution phase or path touches
  * it, and separately compiled instruction streams over the same
- * function (setup / query / full) can share one persistent frame.
+ * function (setup / query) can share one persistent frame.
  */
 
 #include <cstdint>

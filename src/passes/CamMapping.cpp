@@ -128,7 +128,7 @@ class KernelMapper
                                  {stored_mr})
                          ->result(0);
         // The stored tensor is consumed by the setup phase only; tagging
-        // it lets a persistent session skip it on per-query re-entry.
+        // it lets a session skip it on per-query re-entry.
         storedMem_->definingOp()->setAttr(camd::kPhaseAttr,
                                           Attribute(camd::kPhaseSetup));
         constBuilder_ = OpBuilder(ctx_);

@@ -53,13 +53,13 @@ class PlanBuilder
         plan_.numArgs_ = body.numArguments();
         for (std::size_t i = 0; i < body.numArguments(); ++i)
             plan_.argSlots_.push_back(vn_.slot(body.argument(i)));
-        plan_.phased_ = Interpreter::hasPhaseMarkers(func_);
+        plan_.phased_ = camd::hasPhaseMarkers(func_);
 
-        compileTopLevel(body, ExecPhase::Full, plan_.full_);
-        if (plan_.phased_) {
+        // Without phase markers there is no setup: the setup program
+        // stays empty and the query program is the whole function.
+        if (plan_.phased_)
             compileTopLevel(body, ExecPhase::SetupOnly, plan_.setup_);
-            compileTopLevel(body, ExecPhase::QueryOnly, plan_.query_);
-        }
+        compileTopLevel(body, ExecPhase::QueryOnly, plan_.query_);
     }
 
   private:
@@ -113,8 +113,9 @@ class PlanBuilder
     /**
      * Phase-filtered compilation of the function's top-level block,
      * mirroring Interpreter::runTopLevel: SetupOnly skips query-tagged
-     * ops and anything (statically) downstream of them and truncates
-     * at the terminator; QueryOnly skips setup-tagged ops.
+     * ops and anything (statically) downstream of them and ends at
+     * the terminator; QueryOnly skips setup-tagged ops of a phased
+     * function and compiles all of an unphased one.
      */
     void
     compileTopLevel(Block &block, ExecPhase phase,
@@ -134,10 +135,8 @@ class PlanBuilder
 
         for (Operation *op : block.opVector()) {
             if (isTerminator(op->name())) {
-                if (phase == ExecPhase::SetupOnly) {
-                    emit(Opcode::Halt);
+                if (phase == ExecPhase::SetupOnly)
                     return;
-                }
                 Instr &ret = emit(Opcode::Return);
                 for (std::size_t i = 0; i < op->numOperands(); ++i)
                     ret.extra.push_back(use(op, i));
@@ -152,10 +151,10 @@ class PlanBuilder
                     continue;
                 for (std::size_t i = 0; i < op->numResults(); ++i)
                     defined.insert(op->result(i));
-            } else if (phase == ExecPhase::QueryOnly) {
-                if (op->strAttrOr(camd::kPhaseAttr, "") ==
-                    camd::kPhaseSetup)
-                    continue;
+            } else if (plan_.phased_ &&
+                       op->strAttrOr(camd::kPhaseAttr, "") ==
+                           camd::kPhaseSetup) {
+                continue;
             }
             emitOp(op);
         }
@@ -826,20 +825,6 @@ ExecutionPlan::compile(const ir::Module &module, const std::string &entry)
     return plan;
 }
 
-const std::vector<Instr> &
-ExecutionPlan::program(ExecPhase phase) const
-{
-    switch (phase) {
-      case ExecPhase::Full:
-        return full_;
-      case ExecPhase::SetupOnly:
-        return setup_;
-      case ExecPhase::QueryOnly:
-        return query_;
-    }
-    return full_;
-}
-
 PlanFrame
 ExecutionPlan::makeFrame() const
 {
@@ -857,8 +842,7 @@ ExecutionPlan::forkFrame(const PlanFrame &frame) const
     // Every slot the query phase writes is rewritten before it is read,
     // so the fork starts those empty: replay reuses buffers in place
     // only from such slots, and two frames must never share one.
-    for (const Instr &inst : program(phased_ ? ExecPhase::QueryOnly
-                                             : ExecPhase::Full))
+    for (const Instr &inst : query_)
         for (std::int32_t slot : {inst.r, inst.r2})
             if (slot >= 0 &&
                 static_cast<std::size_t>(slot) < fork.slots.size())
@@ -878,11 +862,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     C4CAM_CHECK(args.size() == numArgs_,
                 "function '" << entry_ << "' takes " << numArgs_
                 << " arguments, got " << args.size());
-    if (phase != ExecPhase::Full)
-        C4CAM_CHECK(phased_,
-                    "function '" << entry_ << "' has no phase "
-                    "annotations; phased execution requires a "
-                    "cam-mapped kernel");
     if (frame.slots.size() < static_cast<std::size_t>(numSlots_))
         frame.slots.resize(static_cast<std::size_t>(numSlots_));
     for (std::size_t i = 0; i < args.size(); ++i)
@@ -890,9 +869,9 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
 
     // When the frame carries a tracing context (stamped per query by
     // the serving layer), the whole replay is one span under that
-    // layer's execute span. RAII so every exit path -- Return, Halt,
-    // a throwing query -- closes the span; with tracing off this is
-    // two inlined null checks.
+    // layer's execute span. RAII so every exit path -- Return, the
+    // end of the setup program, a throwing query -- closes the span;
+    // with tracing off this is two inlined null checks.
     struct ReplaySpan
     {
         support::SpanContext ctx;
@@ -1053,11 +1032,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                 *executed_ops += executed;
             return results;
           }
-          case Opcode::Halt:
-            if (executed_ops)
-                *executed_ops += executed;
-            return {};
-
           case Opcode::ConstInt:
             putInt(inst.r, inst.imm);
             break;
@@ -1389,7 +1363,6 @@ opcodeName(Opcode op)
       case Opcode::BeginParScope: return "BeginParScope";
       case Opcode::EndScope: return "EndScope";
       case Opcode::Return: return "Return";
-      case Opcode::Halt: return "Halt";
       case Opcode::ConstInt: return "ConstInt";
       case Opcode::ConstFloat: return "ConstFloat";
       case Opcode::CastToInt: return "CastToInt";
@@ -1519,7 +1492,7 @@ ExecutionPlan::disassemble() const
         os << "]";
     };
     const std::pair<const char *, const std::vector<Instr> *> phases[] = {
-        {"full", &full_}, {"setup", &setup_}, {"query", &query_}};
+        {"setup", &setup_}, {"query", &query_}};
     for (const auto &[name, prog] : phases) {
         os << "phase " << name << " (" << prog->size() << " instrs):\n";
         for (std::size_t i = 0; i < prog->size(); ++i)

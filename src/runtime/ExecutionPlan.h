@@ -26,13 +26,15 @@
  * Per-query execution is then a tight switch-on-opcode replay loop
  * over exactly the bytecode compile() emitted. Scalar results are
  * stored in place (RtValue::setInt/setFloat), so a loop's index slots
- * are overwritten, never rebuilt. The plan compiles one instruction
- * stream per execution phase
- * (Full / SetupOnly / QueryOnly, mirroring the phase-attribute
- * filtering of Interpreter::runTopLevel) over one shared slot
- * numbering, so a persistent PlanFrame carries setup-phase results
- * into the query replays exactly like the interpreter's persistent
- * SSA environment.
+ * are overwritten, never rebuilt. The plan compiles two instruction
+ * streams, a setup program and a query program (mirroring the
+ * phase-attribute filtering of Interpreter::runTopLevel), over one
+ * shared slot numbering, so a PlanFrame carries setup-phase results
+ * into the query replays exactly like the interpreter's SSA
+ * environment. Every execution is setup followed by queries: a
+ * single-shot run is setup plus one query. A function without phase
+ * markers (every host-only kernel) has an empty setup program, and
+ * its query program is the whole function.
  *
  * Replay reuses the buffers it made for the previous tile or query:
  * a subview re-points the view object already in its result slot, and
@@ -61,7 +63,6 @@
 #include <vector>
 
 #include "runtime/Buffer.h"
-#include "runtime/Interpreter.h"
 #include "support/Trace.h"
 
 namespace c4cam::ir {
@@ -85,7 +86,6 @@ enum class Opcode : std::uint8_t {
     BeginParScope, ///< device timing: open parallel scope
     EndScope,      ///< device timing: close scope
     Return,        ///< stop; results are the slots in extra
-    Halt,          ///< stop with no results (SetupOnly truncation)
 
     // Constants
     ConstInt,   ///< frame[r] = imm
@@ -181,7 +181,11 @@ struct PlanFrame
 class ExecutionPlan
 {
   public:
-    using ExecPhase = Interpreter::ExecPhase;
+    /** Which of the two programs to replay. */
+    enum class ExecPhase {
+        SetupOnly, ///< program the device (empty without phase markers)
+        QueryOnly, ///< serve one query on the programmed device
+    };
 
     /**
      * Compile function @p entry of @p module into a plan. Throws
@@ -215,7 +219,7 @@ class ExecutionPlan
      */
     std::vector<RtValue> run(PlanFrame &frame, sim::CamDevice *device,
                              const std::vector<RtValue> &args,
-                             ExecPhase phase = ExecPhase::Full,
+                             ExecPhase phase,
                              std::uint64_t *executed_ops = nullptr) const;
 
     /** Whether the function carried cam-map phase annotations. */
@@ -233,7 +237,7 @@ class ExecutionPlan
     /** Name of the compiled function. */
     const std::string &entry() const { return entry_; }
 
-    /** Human-readable listing of all three phase programs, the frame
+    /** Human-readable listing of both phase programs, the frame
      *  layout and the decoded aux tables (c4cam-run --dump-plan). */
     std::string disassemble() const;
 
@@ -290,7 +294,10 @@ class ExecutionPlan
     };
     /// @}
 
-    const std::vector<Instr> &program(ExecPhase phase) const;
+    const std::vector<Instr> &program(ExecPhase phase) const
+    {
+        return phase == ExecPhase::SetupOnly ? setup_ : query_;
+    }
 
     std::string entry_;
     bool phased_ = false;
@@ -299,7 +306,6 @@ class ExecutionPlan
     /** Slots of the function's entry-block arguments. */
     std::vector<std::int32_t> argSlots_;
 
-    std::vector<Instr> full_;
     std::vector<Instr> setup_;
     std::vector<Instr> query_;
 

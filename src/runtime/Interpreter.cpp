@@ -787,25 +787,16 @@ Interpreter::callFunction(ExecutionState &state, const std::string &name,
     C4CAM_CHECK(body->numArguments() == args.size(),
                 "function '" << name << "' takes " << body->numArguments()
                 << " arguments, got " << args.size());
-    if (phase != ExecPhase::Full)
-        C4CAM_CHECK(hasPhaseMarkers(func),
-                    "function '" << name << "' has no phase annotations; "
-                    "phased execution requires a cam-mapped kernel");
     for (std::size_t i = 0; i < args.size(); ++i)
         state.set(body->argument(i), args[i]);
+    if (phase != ExecPhase::Full && !camd::hasPhaseMarkers(func)) {
+        // No setup phase: the whole function is the query.
+        if (phase == ExecPhase::SetupOnly)
+            return {};
+        phase = ExecPhase::Full;
+    }
     Executor exec(state);
     return exec.runTopLevel(*body, phase);
-}
-
-bool
-Interpreter::hasPhaseMarkers(Operation *func)
-{
-    if (!func || func->numRegions() == 0)
-        return false;
-    for (Operation *op : func->region(0).front().opVector())
-        if (op->strAttrOr(camd::kPhaseAttr, "") == camd::kPhaseQuery)
-            return true;
-    return false;
 }
 
 } // namespace c4cam::rt

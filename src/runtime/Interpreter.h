@@ -100,10 +100,13 @@ class Interpreter
      * phases. The ExecutionState persists across calls, which is what
      * makes Setup-then-repeated-Query execution work: the query body
      * re-reads the device handles and memrefs the setup prologue
-     * evaluated.
+     * evaluated. A function without phase markers has no setup phase:
+     * SetupOnly runs nothing and QueryOnly runs the whole function
+     * (the same rule as rt::ExecutionPlan).
      */
     enum class ExecPhase {
-        Full,      ///< run everything (the classic single-shot path)
+        Full,      ///< setup and query in one walk (the test reference
+                   ///< for single-shot runs, which go setup-then-query)
         SetupOnly, ///< run the setup prologue, skip the query body
         QueryOnly, ///< re-enter the query body, skip the setup prologue
     };
@@ -138,13 +141,6 @@ class Interpreter
                                       const std::vector<RtValue> &args,
                                       ExecPhase phase = ExecPhase::Full)
         const;
-
-    /**
-     * Whether @p func carries the cam-map phase annotations required
-     * for SetupOnly/QueryOnly execution (i.e. at least one top-level
-     * op is tagged phase="query").
-     */
-    static bool hasPhaseMarkers(ir::Operation *func);
 
     sim::CamDevice *device() const { return state_.device(); }
 

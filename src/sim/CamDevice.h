@@ -129,10 +129,9 @@ class CamDevice
      * (query-phase latency/energy totals, query-energy breakdown and
      * search counter) is replaced wholesale and the window number
      * advances, so no earlier search result is readable, while all
-     * setup costs, programmed data and allocation state stay. A
-     * persistent execution session calls this before each query so
-     * that report() describes exactly one query on top of the shared
-     * setup -- matching a single-shot run bit-for-bit.
+     * setup costs, programmed data and allocation state stay. An
+     * execution session calls this before each query so that report()
+     * describes exactly one query on top of the shared setup.
      */
     void beginQueryWindow();
 

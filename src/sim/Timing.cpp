@@ -76,15 +76,6 @@ TimingEngine::post(double latency_ns, double energy_pj)
 }
 
 void
-TimingEngine::reset()
-{
-    scopes_.clear();
-    window_ = QueryWindow{};
-    setupTotal_ = Cost{};
-    phase_ = Phase::Query;
-}
-
-void
 TimingEngine::abortOpenScopes()
 {
     scopes_.clear();
@@ -152,22 +143,6 @@ PerfReport::addQueryWindow(const PerfReport &query)
     // An aggregate covering any partial result is itself partial; min
     // keeps the default 1.0 untouched on fault-free paths.
     coverage = std::min(coverage, query.coverage);
-}
-
-void
-PerfReport::addFullRun(const PerfReport &run)
-{
-    addQueryWindow(run);
-    setupLatencyNs += run.setupLatencyNs;
-    setupEnergyPj += run.setupEnergyPj;
-    writes += run.writes;
-    // Resource high-water marks, not last-run snapshots: heterogeneous
-    // runs folded into one aggregate must not let a small final run
-    // misreport utilization().
-    subarraysUsed = std::max(subarraysUsed, run.subarraysUsed);
-    subarraysAllocated = std::max(subarraysAllocated,
-                                  run.subarraysAllocated);
-    banksUsed = std::max(banksUsed, run.banksUsed);
 }
 
 std::string

@@ -62,9 +62,9 @@ enum class FusionModel
  * Query-phase accounting for one served query: everything that starts
  * from zero when a new query window opens. Setup accounting is
  * device-lifetime state and intentionally not part of this object --
- * replacing the window is what gives a persistent session per-query
- * figures that are bit-identical to a fresh single-shot run (no
- * subtraction of snapshots, no field-by-field resets to forget).
+ * replacing the window is what gives every query of a session figures
+ * that are bit-identical to its first (no subtraction of snapshots,
+ * no field-by-field resets to forget).
  */
 struct QueryWindow
 {
@@ -126,8 +126,9 @@ struct FusedWindow
 
     /**
      * Fold one served query's report into the fused totals (the
-     * PerfReport-sourced counterpart of the device's window fold; the
-     * host-only fallback uses it to synthesize fused accounting).
+     * PerfReport-sourced counterpart of the device's window fold;
+     * host-only sessions and sharded engines use it to synthesize
+     * fused accounting).
      * Does not advance queriesFolded bookkeeping by more than one.
      */
     void addQueryReport(const struct PerfReport &query);
@@ -182,16 +183,13 @@ class TimingEngine
     const QueryWindow &queryWindow() const { return window_; }
     /// @}
 
-    /** Reset all accumulated state. */
-    void reset();
-
     /**
      * Start a fresh query window: the current QueryWindow object is
      * replaced wholesale while the device-lifetime setup totals stay.
-     * Requires all scopes to be closed. A persistent execution session
-     * calls this before re-entering the query body so each query's cost
-     * is accumulated from zero -- bit-identical to a fresh single-shot
-     * run -- instead of being recovered by subtracting snapshots.
+     * Requires all scopes to be closed. An execution session calls
+     * this before re-entering the query body so each query's cost is
+     * accumulated from zero instead of being recovered by subtracting
+     * snapshots.
      * @return the finished window (the previous query's accounting).
      */
     QueryWindow beginQueryWindow();
@@ -208,9 +206,6 @@ class TimingEngine
      * retried query's report stays bit-identical to a fault-free run.
      */
     void abortOpenScopes();
-
-    /** @deprecated Alias of beginQueryWindow() (pre-window API name). */
-    void resetQueryTotals() { beginQueryWindow(); }
 
   private:
     struct Scope
@@ -376,14 +371,6 @@ struct PerfReport
      * setup fields are left alone (setup is paid once per session).
      */
     void addQueryWindow(const PerfReport &query);
-
-    /**
-     * Fold a full single-shot run into this aggregate: like
-     * addQueryWindow() but also re-pays the setup fields -- the
-     * non-persistent fallback reprograms the device on every call and
-     * the aggregate must reflect that.
-     */
-    void addFullRun(const PerfReport &run);
     /// @}
 
     /** One-line human-readable summary. */

@@ -9,8 +9,9 @@
  * types and lowering phases (device / host-cim / host-loops) -- and
  * asserts for every one of them that plan replay and the
  * tree-walking interpreter produce bit-identical outputs AND
- * bit-identical PerfReport JSON, both single-shot and through a
- * persistent session serving several queries.
+ * bit-identical PerfReport JSON, both single-shot (against the tree
+ * walk's one-pass Full phase) and through a session serving several
+ * queries.
  *
  * Determinism: the generator is a fixed-seed splitmix64 Rng, so a
  * failure reproduces by trial index; the trial's configuration is in
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "../TreeWalkReference.h"
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
@@ -200,16 +202,21 @@ TEST(DifferentialFuzz, PlanAndTreeWalkAgreeOnRandomConfigs)
 
         FuzzData data = drawData(rng, cfg, kQueriesPerSession + 1);
 
-        // Single-shot differential.
+        // Single-shot differential: setup plus one query on either
+        // back end against the tree walk's one-pass Full phase.
         std::vector<rt::BufferPtr> args{data.queryBatches[0],
                                         data.stored};
         core::ExecutionResult via_plan = plan_kernel.run(args);
         core::ExecutionResult via_walk = walk_kernel.run(args);
-        expectOutputsBitIdentical(via_plan.outputs, via_walk.outputs);
-        expectReportJsonBitIdentical(via_plan.perf, via_walk.perf);
+        core::ExecutionResult reference =
+            treeWalkSingleShot(cfg.source, cfg.options, args);
+        expectOutputsBitIdentical(via_plan.outputs, reference.outputs);
+        expectReportJsonBitIdentical(via_plan.perf, reference.perf);
+        expectOutputsBitIdentical(via_walk.outputs, reference.outputs);
+        expectReportJsonBitIdentical(via_walk.perf, reference.perf);
 
         // Session differential: serve several query batches through a
-        // persistent session on each back end, comparing per-query
+        // session on each back end, comparing per-query
         // and aggregate accounting.
         core::ExecutionSession plan_session =
             plan_kernel.createSession(args);
@@ -250,7 +257,7 @@ TEST(DifferentialFuzz, FusionModelOffBitIdenticalOnPreservesOutputs)
     //    pre-flag behavior, byte for byte);
     //  - a TrueFused kernel must keep outputs bit-identical while its
     //    fused totals never exceed the exact-serial accounting --
-    //    strictly below it on persistent device sessions (the pass
+    //    strictly below it on device sessions (the pass
     //    drives each subarray once), exactly equal on host-only
     //    sessions (no device pass to fuse).
     const int kTrials = 8;
@@ -323,7 +330,7 @@ TEST(DifferentialFuzz, FusionModelOffBitIdenticalOnPreservesOutputs)
         EXPECT_EQ(via_on.fusedReport.fusedBatchK,
                   static_cast<std::int64_t>(kFusedK));
         // ...and the amortizable ones only ever shrink.
-        if (on_session.persistent()) {
+        if (on_session.device()) {
             EXPECT_LT(via_on.fused.total.energyPj,
                       via_default.fused.total.energyPj);
             EXPECT_LT(via_on.fused.total.latencyNs,

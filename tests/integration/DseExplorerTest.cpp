@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../TreeWalkReference.h"
 #include "apps/Workloads.h"
 #include "core/DseExplorer.h"
 #include "support/Error.h"
@@ -168,4 +169,94 @@ TEST(DseExplorer, RejectsNegativeThreadCount)
     EXPECT_THROW(
         explorer.explore(source(), candidates, smallArgs(), -2),
         CompilerError);
+}
+
+TEST(DseExplorer, EveryCandidateMatchesTheTreeWalkSingleShot)
+{
+    // run() and explore() are a fresh session's setup plus one query.
+    // On every standard candidate they must equal the tree walk's
+    // one-pass Full phase: outputs, and PerfReport JSON bit for bit.
+    Rng rng(71);
+    auto stored = rt::Buffer::alloc(rt::DType::F32, {12, 96});
+    auto queries = rt::Buffer::alloc(rt::DType::F32, {2, 96});
+    for (std::int64_t r = 0; r < 12; ++r)
+        for (std::int64_t c = 0; c < 96; ++c)
+            stored->set({r, c}, rng.nextBool() ? 1.0 : 0.0);
+    for (std::int64_t r = 0; r < 2; ++r)
+        for (std::int64_t c = 0; c < 96; ++c)
+            queries->set({r, c}, stored->at({r * 5, c}));
+    const std::vector<rt::BufferPtr> args = {queries, stored};
+    const std::vector<ArchSpec> candidates =
+        core::DseExplorer::standardCandidates();
+
+    for (const std::string &src :
+         {apps::dotSimilaritySource(2, 12, 96, 1),
+          apps::knnEuclideanSource(2, 12, 96, 3)}) {
+        core::DseResult swept =
+            core::DseExplorer().explore(src, candidates, args);
+        ASSERT_EQ(swept.points.size(), candidates.size());
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            SCOPED_TRACE(std::to_string(candidates[c].rows) + " " +
+                         arch::toString(candidates[c].target));
+            core::CompilerOptions options;
+            options.spec = candidates[c];
+            core::ExecutionResult reference =
+                treeWalkSingleShot(src, options, args);
+            core::ExecutionResult run =
+                core::Compiler(options).compileTorchScript(src).run(args);
+
+            ASSERT_EQ(run.outputs.size(), reference.outputs.size());
+            for (std::size_t i = 0; i < run.outputs.size(); ++i) {
+                EXPECT_EQ(run.outputs[i].asBuffer()->shape(),
+                          reference.outputs[i].asBuffer()->shape());
+                EXPECT_EQ(run.outputs[i].asBuffer()->toVector(),
+                          reference.outputs[i].asBuffer()->toVector());
+            }
+            EXPECT_EQ(run.perf.toJson().dump(),
+                      reference.perf.toJson().dump());
+            EXPECT_EQ(swept.points[c].perf.toJson().dump(),
+                      reference.perf.toJson().dump());
+        }
+    }
+}
+
+TEST(DseExplorer, RunAndExploreRejectMalformedArguments)
+{
+    // Single-shot runs validate their arguments like every session: a
+    // stored tensor of another shape, or a null one, fails with the
+    // session's CompilerError instead of running (or crashing).
+    const std::string src = apps::dotSimilaritySource(2, 8, 64, 1);
+    const ArchSpec spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    core::CompilerOptions options;
+    options.spec = spec;
+    core::CompiledKernel kernel =
+        core::Compiler(options).compileTorchScript(src);
+    auto query = rt::Buffer::alloc(rt::DType::F32, {2, 64});
+    const std::vector<std::pair<std::vector<rt::BufferPtr>, std::string>>
+        malformed = {
+            {{query, rt::Buffer::alloc(rt::DType::F32, {8, 96})},
+             "argument 1 shape mismatch for 'forward'"},
+            {{query, rt::Buffer::alloc(rt::DType::F32, {12, 64})},
+             "argument 1 shape mismatch for 'forward'"},
+            {{query, nullptr}, "argument 1 is null"},
+        };
+    for (const auto &[args, message] : malformed) {
+        SCOPED_TRACE(message);
+        try {
+            kernel.run(args);
+            ADD_FAILURE() << "run() accepted malformed arguments";
+        } catch (const CompilerError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << e.what();
+        }
+        try {
+            core::DseExplorer().explore(src, {spec}, args);
+            ADD_FAILURE() << "explore() accepted malformed arguments";
+        } catch (const CompilerError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }

@@ -200,7 +200,7 @@ TEST(FusedBatch, HostOnlySessionSynthesizesFusedAccounting)
     auto stored_buf = rt::Buffer::fromMatrix(stored);
     core::ExecutionSession session = kernel.createSession(
         {rt::Buffer::fromMatrix({stored[0]}), stored_buf});
-    EXPECT_FALSE(session.persistent());
+    EXPECT_EQ(session.device(), nullptr);
 
     std::vector<std::vector<rt::BufferPtr>> queries;
     for (int i = 0; i < 3; ++i)

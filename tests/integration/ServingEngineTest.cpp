@@ -131,7 +131,6 @@ TEST(ServingEngine, FourThreadsMatchSerialSessionBitForBit)
     std::vector<core::ExecutionResult> serial = session.runBatch(batches);
 
     auto engine = kernel.createServingEngine(batches[0], 4);
-    EXPECT_TRUE(engine->persistent());
     EXPECT_EQ(engine->numReplicas(), 4);
     std::vector<core::ExecutionResult> served =
         serveFromThreads(*engine, batches, 4);
@@ -166,7 +165,6 @@ TEST(ServingEngine, HostOnlyPathMatchesSerialSession)
     std::vector<core::ExecutionResult> serial = session.runBatch(batches);
 
     auto engine = kernel.createServingEngine(batches[0], 3);
-    EXPECT_FALSE(engine->persistent());
     std::vector<core::ExecutionResult> served =
         serveFromThreads(*engine, batches, 3);
 
@@ -318,7 +316,6 @@ TEST(ServingEngine, AsyncOverOneReplicaMatchesSerialReplay)
 
     auto engine = kernel.createAsyncServingEngine(batches[0], 1, {});
     EXPECT_EQ(engine->backend().concurrency(), 1);
-    EXPECT_TRUE(engine->backend().persistent());
     auto futures = engine->submitBatch(batches);
     for (std::size_t q = 0; q < futures.size(); ++q) {
         core::ExecutionResult r = futures[q].get();

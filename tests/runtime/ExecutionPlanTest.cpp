@@ -3,11 +3,13 @@
  * Execution-plan tests: compilation, the vocabulary error, the
  * disassembler, and the differential contract -- every tier-1 kernel
  * must produce bit-identical outputs and PerfReports under tree-walk,
- * plan-replay and fused-batch (K=1) execution.
+ * plan-replay and fused-batch (K=1) execution, and every single-shot
+ * run must equal the tree walk's one-pass Full phase.
  */
 
 #include <gtest/gtest.h>
 
+#include "../TreeWalkReference.h"
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
@@ -136,11 +138,16 @@ TEST(ExecutionPlan, CompilesForEveryTierOneKernel)
         ASSERT_TRUE(plan) << cfg.name;
         EXPECT_GT(plan->numSlots(), 0) << cfg.name;
         EXPECT_GT(plan->numInstructions(
-                      rt::ExecutionPlan::ExecPhase::Full),
+                      rt::ExecutionPlan::ExecPhase::QueryOnly),
                   0u)
             << cfg.name;
-        // Device kernels are phase-annotated; host kernels are not.
+        // Device kernels are phase-annotated; host kernels are not, so
+        // their setup program is empty.
         EXPECT_EQ(plan->hasPhaseMarkers(), !cfg.options.hostOnly)
+            << cfg.name;
+        EXPECT_EQ(plan->numInstructions(
+                      rt::ExecutionPlan::ExecPhase::SetupOnly) > 0,
+                  !cfg.options.hostOnly)
             << cfg.name;
     }
 }
@@ -160,7 +167,7 @@ TEST(ExecutionPlan, TreeWalkRetainedBehindFlag)
         {rt::Buffer::fromMatrix({stored[0]}),
          rt::Buffer::fromMatrix(stored)});
     EXPECT_FALSE(session.usesPlan());
-    EXPECT_TRUE(session.persistent());
+    EXPECT_NE(session.device(), nullptr);
 }
 
 TEST(ExecutionPlan, SingleShotDifferentialAcrossTierOneKernels)
@@ -186,10 +193,16 @@ TEST(ExecutionPlan, SingleShotDifferentialAcrossTierOneKernels)
             plan_kernel.run({query, stored_buf});
         core::ExecutionResult via_walk =
             walk_kernel.run({query, stored_buf});
+        core::ExecutionResult reference =
+            treeWalkSingleShot(cfg.source, cfg.options, {query, stored_buf});
 
         SCOPED_TRACE(cfg.name);
-        expectOutputsEqual(via_plan.outputs, via_walk.outputs);
-        expectReportsIdentical(via_plan.perf, via_walk.perf);
+        expectOutputsEqual(via_plan.outputs, reference.outputs);
+        expectReportsIdentical(via_plan.perf, reference.perf);
+        expectOutputsEqual(via_walk.outputs, reference.outputs);
+        expectReportsIdentical(via_walk.perf, reference.perf);
+        EXPECT_EQ(via_plan.perf.toJson().dump(),
+                  reference.perf.toJson().dump());
     }
 }
 
@@ -266,15 +279,40 @@ TEST(ExecutionPlan, ReplayArityAndPhaseChecksMirrorInterpreter)
     ASSERT_TRUE(plan);
 
     rt::PlanFrame frame = plan->makeFrame();
-    // Wrong arity.
-    EXPECT_THROW(plan->run(frame, nullptr, {}), CompilerError);
-    // Phased execution on an unphased (host) kernel.
-    auto stored = randomRows(4, 32, 5);
-    auto args = rt::toRtValues({rt::Buffer::fromMatrix({stored[0]}),
-                                rt::Buffer::fromMatrix(stored)});
-    EXPECT_THROW(plan->run(frame, nullptr, args,
+    // Wrong arity, on both back ends.
+    EXPECT_THROW(plan->run(frame, nullptr, {},
                            rt::ExecutionPlan::ExecPhase::QueryOnly),
                  CompilerError);
+    rt::Interpreter interpreter(kernel.module(), nullptr);
+    EXPECT_THROW(interpreter.callFunction(
+                     kernel.entryPoint(), {},
+                     rt::Interpreter::ExecPhase::QueryOnly),
+                 CompilerError);
+
+    // An unphased (host) kernel has no setup phase: SetupOnly runs
+    // nothing and QueryOnly runs the whole function, on both back ends.
+    auto stored = randomRows(4, 32, 5);
+    auto args = rt::toRtValues({rt::Buffer::fromMatrix({stored[1]}),
+                                rt::Buffer::fromMatrix(stored)});
+    std::uint64_t setup_ops = 0;
+    EXPECT_TRUE(plan->run(frame, nullptr, args,
+                          rt::ExecutionPlan::ExecPhase::SetupOnly,
+                          &setup_ops)
+                    .empty());
+    EXPECT_EQ(setup_ops, 0u);
+    EXPECT_TRUE(interpreter
+                    .callFunction(kernel.entryPoint(), args,
+                                  rt::Interpreter::ExecPhase::SetupOnly)
+                    .empty());
+    std::vector<rt::RtValue> via_plan = plan->run(
+        frame, nullptr, args, rt::ExecutionPlan::ExecPhase::QueryOnly);
+    std::vector<rt::RtValue> via_walk = interpreter.callFunction(
+        kernel.entryPoint(), args, rt::Interpreter::ExecPhase::QueryOnly);
+    std::vector<rt::RtValue> full = interpreter.callFunction(
+        kernel.entryPoint(), args, rt::Interpreter::ExecPhase::Full);
+    ASSERT_EQ(via_plan.size(), 2u);
+    expectOutputsEqual(via_plan, full);
+    expectOutputsEqual(via_walk, full);
 }
 
 TEST(ExecutionPlan, UnknownOpDiagnosticNamesFunctionAndNearest)
@@ -335,7 +373,8 @@ TEST(ExecutionPlan, DisassembleListsPhasesAndSpecs)
         apps::dotSimilaritySource(1, 8, 64, 1));
     std::string dump = kernel.executionPlan()->disassemble();
     EXPECT_NE(dump.find("arg slots"), std::string::npos);
-    EXPECT_NE(dump.find("phase full"), std::string::npos);
+    // Two programs: a single-shot run is setup plus one query.
+    EXPECT_EQ(dump.find("phase full"), std::string::npos);
     EXPECT_NE(dump.find("phase setup"), std::string::npos);
     EXPECT_NE(dump.find("phase query"), std::string::npos);
     EXPECT_NE(dump.find("Subview"), std::string::npos);

@@ -110,16 +110,6 @@ TEST(Timing, TopLevelPostsAccumulate)
     EXPECT_DOUBLE_EQ(t.queryCost().energyPj, 5.0);
 }
 
-TEST(Timing, ResetClearsEverything)
-{
-    TimingEngine t;
-    t.post(1.0, 1.0);
-    t.reset();
-    EXPECT_DOUBLE_EQ(t.queryCost().latencyNs, 0.0);
-    EXPECT_DOUBLE_EQ(t.queryCost().energyPj, 0.0);
-    EXPECT_EQ(t.depth(), 0u);
-}
-
 TEST(Timing, UnbalancedEndScopeAsserts)
 {
     TimingEngine t;
@@ -154,7 +144,7 @@ TEST(PerfReport, ZeroLatencySafe)
     EXPECT_DOUBLE_EQ(report.utilization(), 0.0);
 }
 
-TEST(Timing, ResetQueryTotalsKeepsSetup)
+TEST(Timing, BeginQueryWindowKeepsSetup)
 {
     TimingEngine t;
     t.setPhase(TimingEngine::Phase::Setup);
@@ -164,18 +154,18 @@ TEST(Timing, ResetQueryTotalsKeepsSetup)
     EXPECT_DOUBLE_EQ(t.setupCost().latencyNs, 100.0);
     EXPECT_DOUBLE_EQ(t.queryCost().latencyNs, 10.0);
 
-    t.resetQueryTotals();
+    t.beginQueryWindow();
     EXPECT_DOUBLE_EQ(t.queryCost().latencyNs, 0.0);
     EXPECT_DOUBLE_EQ(t.queryCost().energyPj, 0.0);
     EXPECT_DOUBLE_EQ(t.setupCost().latencyNs, 100.0);
     EXPECT_DOUBLE_EQ(t.setupCost().energyPj, 50.0);
 }
 
-TEST(Timing, ResetQueryTotalsWithOpenScopeAsserts)
+TEST(Timing, BeginQueryWindowWithOpenScopeAsserts)
 {
     TimingEngine t;
     t.beginScope(/*parallel=*/false);
-    EXPECT_THROW(t.resetQueryTotals(), InternalError);
+    EXPECT_THROW(t.beginQueryWindow(), InternalError);
 }
 
 TEST(PerfReport, PerQueryAggregatesGuardZeroQueries)
@@ -213,38 +203,6 @@ TEST(PerfReport, BatchAggregates)
     EXPECT_DOUBLE_EQ(report.amortizedEnergyPj(), 25.0);
     // The one-line summary mentions the batch.
     EXPECT_NE(report.str().find("queries: 16"), std::string::npos);
-}
-
-TEST(PerfReport, AddFullRunTakesResourceMaxima)
-{
-    // Heterogeneous runs folded into one aggregate must report the
-    // high-water marks, not the last run's snapshot -- a small final
-    // run overwriting subarraysUsed/Allocated would misreport
-    // utilization().
-    PerfReport big;
-    big.subarraysUsed = 6;
-    big.subarraysAllocated = 8;
-    big.banksUsed = 2;
-    PerfReport small;
-    small.subarraysUsed = 1;
-    small.subarraysAllocated = 2;
-    small.banksUsed = 1;
-
-    PerfReport aggregate;
-    aggregate.addFullRun(big);
-    aggregate.addFullRun(small);
-    EXPECT_EQ(aggregate.subarraysUsed, 6);
-    EXPECT_EQ(aggregate.subarraysAllocated, 8);
-    EXPECT_EQ(aggregate.banksUsed, 2);
-    EXPECT_DOUBLE_EQ(aggregate.utilization(), 6.0 / 8.0);
-    // Order independence: the maxima do not depend on which run came
-    // last.
-    PerfReport reversed;
-    reversed.addFullRun(small);
-    reversed.addFullRun(big);
-    EXPECT_EQ(reversed.subarraysUsed, aggregate.subarraysUsed);
-    EXPECT_EQ(reversed.subarraysAllocated, aggregate.subarraysAllocated);
-    EXPECT_EQ(reversed.banksUsed, aggregate.banksUsed);
 }
 
 TEST(FusedWindow, CoverageMinFoldsIntoReport)

@@ -12,7 +12,7 @@
  * With --queries-equal-rows, query i is a copy of stored row
  * (2*i mod N) so the expected top-1 indices are obvious.
  *
- * With --batch N the kernel is served through one persistent
+ * With --batch N the kernel is served through one
  * ExecutionSession: the device is programmed once (setup phase) and N
  * query batches are executed against it, reporting per-query and
  * amortized figures (paper §III-D setup/search split).
@@ -330,8 +330,8 @@ main(int argc, char **argv)
     }
     if ((!fault_spec_path.empty() || fault_rate_seen || retries_seen) &&
         batch <= 0) {
-        // Fault injection hooks the persistent serving paths; the
-        // single-shot path builds its device out of reach.
+        // Fault injection hooks the serving paths; the single-shot
+        // path builds its session's device out of reach.
         std::cerr << "c4cam-run: --fault-spec/--fault-rate/--retries "
                      "require --batch\n";
         return usage();
@@ -443,7 +443,7 @@ main(int argc, char **argv)
             fillQueriesFromStored(args[0], args[1], 0);
 
         if (batch > 0) {
-            // Persistent serving: program the device once, then serve
+            // Session serving: program the device once, then serve
             // `batch` query batches. Each batch gets its own query
             // buffer (fresh content so serving is not a no-op, and no
             // aliasing across concurrent workers);
@@ -492,7 +492,6 @@ main(int argc, char **argv)
             core::ExecutionResult first;
             long long first_index = 0;
             sim::PerfReport total;
-            bool persistent = false;
             if (use_async || (threads > 1 && !shards_seen)) {
                 // Async front-end: bounded submission queue with the
                 // chosen overflow policy feeding `threads` replicas;
@@ -570,7 +569,6 @@ main(int argc, char **argv)
                 engine->drain();
                 core::AsyncServingStats stats = engine->stats();
                 total = stats.serving.aggregate;
-                persistent = engine->backend().persistent();
                 if (!json) {
                     std::cout
                         << "async serving: "
@@ -605,7 +603,7 @@ main(int argc, char **argv)
                                   << " quarantines, "
                                   << stats.serving.degradedServes
                                   << " degraded serves\n";
-                    if (persistent)
+                    if (!host_only)
                         std::cout << "setup: "
                                   << engine->backend().setupReport()
                                          .str()
@@ -697,7 +695,6 @@ main(int argc, char **argv)
                 }
                 core::ServingStats stats = engine.stats();
                 total = stats.aggregate;
-                persistent = engine.persistent();
                 if (!json) {
                     std::cout << "sharded serving: "
                               << engine.numShards() << " shards x "
@@ -713,7 +710,7 @@ main(int argc, char **argv)
                                   << " quarantines, "
                                   << stats.degradedServes
                                   << " degraded serves\n";
-                    if (persistent)
+                    if (!host_only)
                         std::cout << "setup: "
                                   << engine.setupReport().str() << "\n";
                 }
@@ -734,8 +731,7 @@ main(int argc, char **argv)
                         first = std::move(result);
                 }
                 total = session.aggregateReport();
-                persistent = session.persistent();
-                if (!json && persistent)
+                if (!json && !host_only)
                     std::cout << "setup: " << session.setupReport().str()
                               << "\n";
             }
