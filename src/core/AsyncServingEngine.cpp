@@ -10,6 +10,10 @@ namespace c4cam::core {
 
 namespace {
 
+/** Queue depth at which dispatchers start coalescing (below it every
+ *  dispatch is a single query). */
+constexpr std::size_t kFuseMinDepth = 2;
+
 std::exception_ptr
 admissionError(const char *what)
 {
@@ -34,7 +38,6 @@ AsyncServingEngine::AsyncServingEngine(std::unique_ptr<QueryBackend> backend,
         backend_->enableTracing(options_.trace, traceId_);
     }
     options_.fuseMaxK = std::max(options_.fuseMaxK, 1);
-    options_.fuseMinDepth = std::max<std::size_t>(options_.fuseMinDepth, 1);
     int dispatchers = options_.dispatchers > 0 ? options_.dispatchers
                                                : backend_->concurrency();
     options_.dispatchers = dispatchers;
@@ -262,7 +265,7 @@ AsyncServingEngine::dispatchLoop()
         group.clear();
         std::size_t n = queue_.popGroup(
             group, static_cast<std::size_t>(options_.fuseMaxK),
-            options_.fuseMinDepth);
+            kFuseMinDepth);
         if (n == 0)
             return; // closed and drained
         Clock::time_point popped = Clock::now();
@@ -338,10 +341,8 @@ AsyncServingEngine::dispatchLoop()
             // Args were validated at admission; dispatch through the
             // backend's non-revalidating primitives.
             try {
-                FusedBatchResult fused = backend_->serveFusedChunk(
-                    qargs, 0, qargs.size(), col ? &ctxs : nullptr);
-                for (std::size_t i = 0; i < n; ++i)
-                    results[i] = std::move(fused.results[i]);
+                results = backend_->serveFusedChunk(
+                    qargs, col ? &ctxs : nullptr);
                 fusedWindows_.fetch_add(1);
                 fusedQueries_.fetch_add(static_cast<std::int64_t>(n));
                 fused_ok = true;

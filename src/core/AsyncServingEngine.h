@@ -29,17 +29,18 @@
  * @endcode
  *
  * Dynamic micro-batching: each dispatcher pops a *group* from the
- * queue -- one query when the queue is shallow, up to fuseMaxK when
- * at least fuseMinDepth queries are waiting -- and serves a group of
- * two or more as one fused window through the backend's
- * serveFusedChunk primitive. Fused amortization therefore kicks
- * in automatically exactly when load builds up, and single-query
- * latency is not taxed when the system is idle. Per-query outputs stay
- * bit-identical to serial ExecutionSession replay in both regimes, and
- * under the default sim::FusionModel::ExactSerial so do the per-query
- * PerfReports (the fused-window invariant the sync tests lock); under
- * TrueFused, fused groups honestly report their cheaper windows
- * (drive charged once per pass), so reports depend on group shape.
+ * queue -- one query when fewer than two are waiting, up to fuseMaxK
+ * otherwise -- and serves a group of two or more as one fused pass
+ * through the backend's serveFusedChunk primitive, which hands back
+ * the per-query results the futures resolve with. Fused amortization
+ * therefore kicks in automatically exactly when load builds up, and
+ * single-query latency is not taxed when the system is idle.
+ * Per-query outputs stay bit-identical to serial ExecutionSession
+ * replay in both regimes, and under the default
+ * sim::FusionModel::ExactSerial so do the per-query PerfReports (the
+ * invariant the sync tests lock); under TrueFused, fused groups
+ * honestly report their cheaper windows (drive charged once per
+ * pass), so reports depend on group shape.
  *
  * Shutdown semantics: shutdown() (and the destructor) closes the
  * queue -- new submissions fail fast -- then lets the dispatchers
@@ -105,10 +106,6 @@ struct AsyncServingOptions
     /** Max queries coalesced into one fused dispatch window; 1
      *  disables micro-batching. */
     int fuseMaxK = 8;
-
-    /** Queue depth at which dispatchers start coalescing (below it
-     *  every dispatch is a single query). */
-    std::size_t fuseMinDepth = 2;
 
     /** Dispatcher thread count; 0 means one per backend concurrency
      *  slot (QueryBackend::concurrency()). */

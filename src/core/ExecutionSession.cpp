@@ -125,7 +125,7 @@ ExecutionSession::serve(const std::vector<rt::BufferPtr> &args,
                 rt::Interpreter::ExecPhase::QueryOnly);
         }
     } catch (...) {
-        // The unwind left timing scopes (and any fused window) open;
+        // The unwind left timing scopes (and any fused pass) open;
         // roll back to a servable between-queries state.
         frame_.trace = support::SpanContext{};
         if (device_)
@@ -158,47 +158,23 @@ ExecutionSession::serve(const std::vector<rt::BufferPtr> &args,
     return result;
 }
 
-FusedBatchResult
+std::vector<ExecutionResult>
 ExecutionSession::serveFusedChunk(
     const std::vector<std::vector<rt::BufferPtr>> &queries,
-    std::size_t begin, std::size_t end,
     const std::vector<support::SpanContext> *ctxs)
 {
-    C4CAM_CHECK(begin < end && end <= queries.size(),
-                "fused chunk [" << begin << ", " << end
-                << ") out of range for " << queries.size() << " queries");
-    std::size_t n = end - begin;
-    FusedBatchResult batch;
-    batch.results.reserve(n);
-
-    if (!device_) {
-        // Host-only: no device to open a fused window on; synthesize
-        // the fused accounting from the per-query reports.
-        for (std::size_t i = begin; i < end; ++i)
-            batch.results.push_back(
-                serve(queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
-        batch.fused.k = static_cast<std::int64_t>(n);
-        for (const auto &r : batch.results)
-            batch.fused.addQueryReport(r.perf);
-        batch.fusedReport = batch.fused.toReport(setupReport_);
-        return batch;
-    }
-
-    device_->beginFusedWindow(static_cast<int>(n));
-    try {
-        for (std::size_t i = begin; i < end; ++i)
-            batch.results.push_back(
-                serve(queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
-        batch.fused = device_->endFusedWindow();
-    } catch (...) {
-        // The partial fused accounting is meaningless: discard it
-        // with the query window (a no-op repeat when serve() already
-        // rolled the device back) so the session stays servable.
-        device_->abortQueryWindow();
-        throw;
-    }
-    batch.fusedReport = batch.fused.toReport(setupReport_);
-    return batch;
+    C4CAM_CHECK(!queries.empty(), "fused chunk needs at least one query");
+    std::vector<ExecutionResult> results;
+    results.reserve(queries.size());
+    // A host-only session has no device pass to fuse. On a throw,
+    // serve()'s rollback closes the pass.
+    if (device_)
+        device_->beginFusedPass();
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        results.push_back(serve(queries[i], ctxs ? &(*ctxs)[i] : nullptr));
+    if (device_)
+        device_->endFusedPass();
+    return results;
 }
 
 ExecutionResult
@@ -228,12 +204,19 @@ ExecutionSession::runFusedBatch(
 {
     C4CAM_CHECK(!queries.empty(), "fused batch needs at least one query");
     // Validate everything up front: a malformed query must fail before
-    // the fused window opens, not leave the device mid-batch.
+    // the fused pass opens, not leave the device mid-batch.
     for (const auto &args : queries)
         validateKernelArgs(entryBody_, entry_, args);
     Clock::time_point start = Clock::now();
-    FusedBatchResult batch = serveFusedChunk(queries, 0, queries.size());
+    FusedBatchResult batch;
+    batch.results = serveFusedChunk(queries);
     recorder_->recordChunk(batch.results, start, Clock::now());
+    batch.fusedReport = setupReport_;
+    for (const ExecutionResult &r : batch.results)
+        batch.fusedReport.addQueryWindow(r.perf);
+    batch.fusedReport.queriesServed =
+        static_cast<std::int64_t>(batch.results.size());
+    batch.fusedReport.fusedBatchK = batch.fusedReport.queriesServed;
     return batch;
 }
 

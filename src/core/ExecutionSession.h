@@ -35,7 +35,10 @@
  *    recovered by subtracting snapshots);
  *  - aggregateReport() sums the query fields over all served queries
  *    and sets queriesServed, so avgQueryLatencyNs() /
- *    amortizedLatencyNs() describe the batch.
+ *    amortizedLatencyNs() describe the batch;
+ *  - a runFusedBatch() report is the same fold (setup once plus
+ *    PerfReport::addQueryWindow per query) over that batch alone,
+ *    with fusedBatchK = K.
  *
  * A session is also the serving tier's one device primitive: serve()
  * and serveFusedChunk() run a query (or a fused chunk) on the
@@ -67,20 +70,20 @@ namespace c4cam::core {
 
 /**
  * Outcome of serving one fused multi-query batch: the per-query
- * results (outputs always bit-identical to serial serving) plus the
- * fused window's accounting. fusedReport renders the window as a
- * PerfReport with fusedBatchK set, so the amortized per-query
- * attribution (drive/setup shares) is available alongside the batch
- * totals. Under sim::FusionModel::ExactSerial (default) the totals
- * equal the sum of the per-query serial windows exactly and the
- * per-query reports match serial serving bit for bit; under TrueFused
- * the totals come in strictly below the serial sum (drive charged
- * once per pass) and queries 2..K report honestly cheaper windows.
+ * results (outputs always bit-identical to serial serving) and the
+ * batch's report -- the session's setup report plus every query's
+ * window folded by PerfReport::addQueryWindow, with queriesServed =
+ * fusedBatchK = K, so the amortized per-query attribution
+ * (drive/setup shares) sits next to the batch totals. Under
+ * sim::FusionModel::ExactSerial (default) the per-query reports
+ * match serial serving bit for bit, so the totals equal the serial
+ * sum; under TrueFused queries 2..K report honestly cheaper windows
+ * (drive charged once per pass) and the totals come in strictly
+ * below it.
  */
 struct FusedBatchResult
 {
     std::vector<ExecutionResult> results;
-    sim::FusedWindow fused;
     sim::PerfReport fusedReport;
 };
 
@@ -144,19 +147,16 @@ class ExecutionSession
     runBatch(const std::vector<std::vector<rt::BufferPtr>> &batches);
 
     /**
-     * Serve @p queries as ONE fused multi-query device pass: the
-     * device opens a fused accounting window over the K queries and
-     * amortizes the drive/setup attribution across them. Each query
-     * still runs in its own query window and outputs are always
-     * bit-identical to serial runQuery() calls. What the accounting
-     * means depends on
-     * CompilerOptions::fusionModel: under ExactSerial (default) the
-     * per-query reports match serial serving bit for bit and the fused
-     * totals equal their sum; under TrueFused the pass charges each
-     * subarray's precharge/drive once, so the totals come in strictly
-     * below the serial sum. Host-only sessions synthesize the fused
-     * accounting from the per-query reports (no device pass to fuse,
-     * so TrueFused changes nothing there). The batch is recorded only
+     * Serve @p queries as ONE fused multi-query device pass (see
+     * serveFusedChunk()) and report the batch as a FusedBatchResult.
+     * Each query still runs in its own query window and outputs are
+     * always bit-identical to serial runQuery() calls. What the
+     * accounting means depends on CompilerOptions::fusionModel: under
+     * ExactSerial (default) the per-query reports match serial
+     * serving bit for bit; under TrueFused the pass charges each
+     * subarray's precharge/drive once, so later queries report
+     * cheaper windows. Host-only sessions have no device pass to fuse,
+     * so TrueFused changes nothing there. The batch is recorded only
      * when every query succeeded: a failed batch leaves
      * queriesServed() and aggregateReport() untouched.
      */
@@ -181,16 +181,15 @@ class ExecutionSession
                           const support::SpanContext *ctx = nullptr);
 
     /**
-     * Serve queries [@p begin, @p end) of @p queries inside one fused
-     * device window (see runFusedBatch() for the accounting), each
-     * through serve() with its context from @p ctxs (one per query of
-     * the chunk; null = as serve() with a null context). Same contract
-     * as serve(): no validation, no recording, and a throw aborts the
-     * fused window and rolls the device back.
+     * Serve every query of @p queries, in order, inside one fused
+     * device pass (CamDevice::beginFusedPass), each through serve()
+     * with its context from @p ctxs (one per query; null = as serve()
+     * with a null context). Returns the per-query results. Same
+     * contract as serve(): no validation, no recording, and a throw
+     * rolls the device back, which also closes the pass.
      */
-    FusedBatchResult serveFusedChunk(
+    std::vector<ExecutionResult> serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
-        std::size_t begin, std::size_t end,
         const std::vector<support::SpanContext> *ctxs = nullptr);
     /// @}
 

@@ -29,9 +29,9 @@
  *  - serve()/serveFusedChunk() may assume validateQuery() passed for
  *    every query (the async front-end validates at admission);
  *    implementations may still re-check cheaply.
- *  - serveFusedChunk() serves queries [begin, end) inside one fused
- *    accounting window; on failure it must record NOTHING in stats()
- *    (the caller falls back to per-query serve()).
+ *  - serveFusedChunk() serves a chunk of queries as one fused pass
+ *    and returns their per-query results; on failure it must record
+ *    NOTHING in stats() (the caller falls back to per-query serve()).
  *  - With tracing enabled and a null span context, serve() owns the
  *    query's root "query" span; with a caller-provided context it
  *    parents its spans under ctx->parentSpanId instead and the caller
@@ -79,16 +79,15 @@ class QueryBackend
           const support::SpanContext *ctx = nullptr) = 0;
 
     /**
-     * Serve queries [@p begin, @p end) of @p queries as one fused
-     * multi-query window. @p ctxs, when non-null, holds one tracing
-     * context per query of the chunk. Per-query results and reports
-     * must stay bit-identical to serial serve() calls, and the fused
-     * totals must equal the sum of the per-query windows. A failure
+     * Serve @p queries as one fused multi-query pass and record them
+     * in stats(); returns one result per query. @p ctxs, when
+     * non-null, holds one tracing context per query. Per-query results
+     * stay bit-identical to serial serve() calls (under
+     * sim::FusionModel::ExactSerial, their reports too). A failure
      * must leave stats() untouched (nothing half-recorded).
      */
-    virtual FusedBatchResult serveFusedChunk(
+    virtual std::vector<ExecutionResult> serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
-        std::size_t begin, std::size_t end,
         const std::vector<support::SpanContext> *ctxs = nullptr) = 0;
 
     /**

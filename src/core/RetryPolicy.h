@@ -27,14 +27,10 @@ struct RetryPolicy
      */
     int maxAttempts = 1;
 
-    /** Base backoff before the first retry; 0 = retry immediately. */
+    /** Base backoff before the first retry, doubling per retry up to
+     *  10 ms and jittered deterministically (support/Backoff.h);
+     *  0 = retry immediately. */
     std::int64_t backoffUs = 0;
-
-    /** Cap on the exponentially growing backoff delay. */
-    std::int64_t maxBackoffUs = 10'000;
-
-    /** Seed for the deterministic backoff jitter (support/Backoff.h). */
-    std::uint64_t jitterSeed = 0xBACC0FFull;
 
     bool
     enabled() const

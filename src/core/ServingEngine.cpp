@@ -11,6 +11,11 @@ namespace c4cam::core {
 
 using Clock = std::chrono::steady_clock;
 
+/** Cap on the doubling retry backoff, and the seed of its
+ *  deterministic jitter (support/Backoff.h). */
+constexpr std::int64_t kMaxBackoffUs = 10'000;
+constexpr std::uint64_t kBackoffJitterSeed = 0xBACC0FFull;
+
 class ServingEngine::Lease
 {
   public:
@@ -116,8 +121,8 @@ ServingEngine::serve(const std::vector<rt::BufferPtr> &args,
                 col->record(retry);
             }
             std::int64_t delay_us = support::backoffDelayUs(
-                retryPolicy_.backoffUs, attempt, retryPolicy_.maxBackoffUs,
-                retryPolicy_.jitterSeed);
+                retryPolicy_.backoffUs, attempt, kMaxBackoffUs,
+                kBackoffJitterSeed);
             if (delay_us > 0)
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(delay_us));
@@ -134,30 +139,29 @@ ServingEngine::serve(const std::vector<rt::BufferPtr> &args,
     return result;
 }
 
-FusedBatchResult
+std::vector<ExecutionResult>
 ServingEngine::serveFusedChunk(
     const std::vector<std::vector<rt::BufferPtr>> &queries,
-    std::size_t begin, std::size_t end,
     const std::vector<support::SpanContext> *ctxs)
 {
     // Sync fused serving with engine tracing on: own one root span per
     // query of the chunk (the async front-end passes @p ctxs and owns
     // its roots itself).
     std::vector<support::SpanContext> roots;
-    recorder_.openRoots(ctxs, roots, end - begin);
+    recorder_.openRoots(ctxs, roots, queries.size());
     Clock::time_point start = Clock::now();
     auto record_roots = [&](Clock::time_point done) {
         for (const support::SpanContext &root : roots)
             ServingRecorder::recordRoot(
                 root, root.collector->toUs(start),
                 root.collector->toUs(done),
-                static_cast<std::int64_t>(end - begin));
+                static_cast<std::int64_t>(queries.size()));
     };
 
-    FusedBatchResult batch;
+    std::vector<ExecutionResult> results;
     try {
         Lease replica(*this);
-        batch = replica->serveFusedChunk(queries, begin, end, ctxs);
+        results = replica->serveFusedChunk(queries, ctxs);
     } catch (...) {
         // Nothing is recorded for a failed chunk, so a caller that
         // retries the queries individually (the async front-end's
@@ -168,9 +172,9 @@ ServingEngine::serveFusedChunk(
         throw;
     }
     Clock::time_point done = Clock::now();
-    recorder_.recordChunk(batch.results, start, done);
+    recorder_.recordChunk(results, start, done);
     record_roots(done);
-    return batch;
+    return results;
 }
 
 ServingStats

@@ -32,7 +32,9 @@
  *    cost model is deterministic;
  *  - the aggregate report pays setup once (replication is free host
  *    work, not simulated device work) and sums the query windows over
- *    all served queries, exactly like a serial session.
+ *    all served queries, exactly like a serial session; a fused chunk
+ *    is recorded query by query the same way, and the engine keeps
+ *    no fused totals of its own.
  *
  * Threading model: the compiled module and plan are shared read-only;
  * each replica session owns its CamDevice and slot frame and serves at
@@ -109,13 +111,13 @@ class ServingEngine : public QueryBackend
     serve(const std::vector<rt::BufferPtr> &args,
           const support::SpanContext *ctx = nullptr) override;
 
-    /** Serve one fused chunk on a replica acquired for the chunk.
-     *  @p ctxs, when non-null, holds one per-query tracing context for
-     *  queries [begin, end). Like serve(), does not revalidate; a
-     *  failed chunk is not retried and records nothing in stats(). */
-    FusedBatchResult serveFusedChunk(
+    /** Serve @p queries as one fused pass on a replica acquired for
+     *  the chunk (ExecutionSession::serveFusedChunk). @p ctxs, when
+     *  non-null, holds one per-query tracing context. Like serve(),
+     *  does not revalidate; a failed chunk is not retried and records
+     *  nothing in stats(). */
+    std::vector<ExecutionResult> serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
-        std::size_t begin, std::size_t end,
         const std::vector<support::SpanContext> *ctxs = nullptr) override;
 
     /**

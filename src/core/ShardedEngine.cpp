@@ -15,6 +15,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/** The kernel parameter that holds the stored (sharded) tensor. */
+constexpr std::size_t kStoredArg = 1;
+
 /**
  * Find the last top-k op (program order, regions walked depth-first)
  * in @p block. The LAST one matters: it produces the kernel's output
@@ -73,7 +76,6 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
                              const std::vector<rt::BufferPtr> &setup_args,
                              const ShardedEngineOptions &sharding)
     : replicasPerShard_(sharding.replicasPerShard),
-      storedArgIndex_(sharding.storedArgIndex),
       allowDegraded_(sharding.allowDegraded),
       quarantineThreshold_(std::max(1, sharding.quarantineThreshold)),
       cooldownMs_(std::max<std::int64_t>(0, sharding.cooldownMs))
@@ -84,10 +86,10 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
     C4CAM_CHECK(sharding.replicasPerShard >= 1,
                 "ShardedEngine needs at least 1 replica per shard, got "
                 << sharding.replicasPerShard);
-    C4CAM_CHECK(storedArgIndex_ < setup_args.size(),
-                "stored-argument index " << storedArgIndex_
-                << " out of range for " << setup_args.size()
-                << " setup arguments");
+    C4CAM_CHECK(kStoredArg < setup_args.size(),
+                "sharded serving needs the stored tensor as setup "
+                "argument " << kStoredArg << ", got only "
+                << setup_args.size() << " setup arguments");
 
     Compiler compiler(options);
 
@@ -121,7 +123,7 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
     // explicitly.
     mergeLargest_ = topk->boolAttrOr("largest", true);
 
-    const rt::BufferPtr &stored = setup_args[storedArgIndex_];
+    const rt::BufferPtr &stored = setup_args[kStoredArg];
     C4CAM_CHECK(stored && stored->rank() == 2,
                 "sharded serving partitions a rank-2 stored tensor "
                 "(rows x dims)");
@@ -143,14 +145,14 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
         std::vector<std::int64_t> shape = stored->shape();
         shape[0] = slice.rows;
         frontend::ShapeOverrides overrides;
-        overrides[storedArgIndex_] = shape;
+        overrides[kStoredArg] = shape;
         shard.kernel = std::make_unique<CompiledKernel>(
             compiler.compileTorchScript(source, overrides));
 
         shard.storedSlice =
             stored->subview({slice.begin, 0}, {slice.rows, dims});
         std::vector<rt::BufferPtr> shard_setup = setup_args;
-        shard_setup[storedArgIndex_] = shard.storedSlice;
+        shard_setup[kStoredArg] = shard.storedSlice;
         shard.engine = shard.kernel->createServingEngine(
             shard_setup, replicasPerShard_);
         // Shard-level retries: a transient fault is re-attempted
@@ -190,7 +192,7 @@ ShardedEngine::shardArgs(const std::vector<rt::BufferPtr> &args,
     // The query body ignores the stored argument (the device keeps
     // the slice programmed); swapping the slice view in keeps the
     // arguments shaped to the shard's signature.
-    shard_args[storedArgIndex_] = shards_[s].storedSlice;
+    shard_args[kStoredArg] = shards_[s].storedSlice;
     return shard_args;
 }
 
@@ -352,9 +354,7 @@ ShardedEngine::recordShardSuccess(std::size_t s)
 
 void
 ShardedEngine::recordShardFailure(std::size_t s,
-                                  support::TraceCollector *col,
-                                  std::uint64_t trace_id,
-                                  std::uint64_t query_id)
+                                  const support::SpanContext *ctx)
 {
     bool tripped = false;
     {
@@ -374,14 +374,15 @@ ShardedEngine::recordShardFailure(std::size_t s,
             shard.quarantinedAt = Clock::now();
         }
     }
+    support::TraceCollector *col = ctx ? ctx->collector : nullptr;
     if (tripped && col) {
         // Self-rooted marker: quarantine is an engine-level state
         // transition, not a phase of this query's critical path --
         // queryId names the query whose failure tripped the breaker.
         support::TraceEvent ev;
         ev.name = "shard-quarantine";
-        ev.traceId = trace_id;
-        ev.queryId = query_id;
+        ev.traceId = ctx->traceId;
+        ev.queryId = ctx->queryId;
         ev.spanId = col->newSpanId();
         ev.parentSpanId = 0;
         ev.startUs = col->nowUs();
@@ -390,12 +391,49 @@ ShardedEngine::recordShardFailure(std::size_t s,
     }
 }
 
+template <typename Result, typename ServeShard>
+std::exception_ptr
+ShardedEngine::scatterToShards(const std::vector<std::size_t> &active,
+                               const ServeShard &serve_shard,
+                               std::vector<Result> &results,
+                               std::vector<std::size_t> &survivors,
+                               const support::SpanContext *ctx)
+{
+    std::vector<std::future<Result>> futures;
+    futures.reserve(active.size());
+    for (std::size_t s : active)
+        futures.push_back(
+            pool_->submit([&serve_shard, s] { return serve_shard(s); }));
+    // Wait for EVERY shard before harvesting: a failing shard must
+    // not leave siblings running against borrowed arguments.
+    for (auto &future : futures)
+        future.wait();
+    // Harvest with per-shard failure isolation: a shard that failed
+    // (transient retries exhausted, or a permanent fault) counts
+    // against its health.
+    results.reserve(futures.size());
+    survivors.reserve(futures.size());
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        try {
+            results.push_back(futures[i].get());
+            survivors.push_back(active[i]);
+            recordShardSuccess(active[i]);
+        } catch (...) {
+            recordShardFailure(active[i], ctx);
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+    }
+    return first_error;
+}
+
 ExecutionResult
 ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
                      const support::SpanContext *ctx)
 {
     // Validate against the unsharded signature BEFORE shardArgs
-    // touches args[storedArgIndex_]: malformed calls must fail on the
+    // touches args[kStoredArg]: malformed calls must fail on the
     // caller's stack, not under a scatter task (and never index past
     // a short argument vector).
     validateQuery(args);
@@ -455,45 +493,22 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
     };
 
     Clock::time_point t0 = Clock::now();
-    std::vector<std::future<ExecutionResult>> futures;
-    futures.reserve(active.size());
-    for (std::size_t s : active) {
-        futures.push_back(pool_->submit(
-            [this, s, &args, col, trace_id, query_id, scatter_span] {
-                // Shard execute/merge spans parent under the scatter
-                // span, tying each shard's interval to the fan-out.
-                support::SpanContext sctx{col, trace_id, query_id,
-                                          scatter_span};
-                return shards_[s].engine->serve(shardArgs(args, s),
-                                                col ? &sctx : nullptr);
-            }));
-    }
-    // Wait for EVERY shard before harvesting: a failing shard must
-    // not leave siblings running against stack-borrowed args.
-    for (auto &future : futures)
-        future.wait();
-    // Harvest with per-shard failure isolation: a shard that failed
-    // (transient retries exhausted, or a permanent fault) counts
-    // against its health; the survivors can still answer when
-    // degraded serving is on.
     std::vector<ExecutionResult> shard_results;
     std::vector<std::size_t> surviving;
-    shard_results.reserve(futures.size());
-    surviving.reserve(futures.size());
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            shard_results.push_back(futures[i].get());
-            surviving.push_back(active[i]);
-            recordShardSuccess(active[i]);
-        } catch (...) {
-            recordShardFailure(active[i], col, trace_id, query_id);
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
+    std::exception_ptr first_error = scatterToShards(
+        active,
+        [&](std::size_t s) {
+            // Shard execute/merge spans parent under the scatter
+            // span, tying each shard's interval to the fan-out.
+            support::SpanContext sctx{col, trace_id, query_id,
+                                      scatter_span};
+            return shards_[s].engine->serve(shardArgs(args, s),
+                                            col ? &sctx : nullptr);
+        },
+        shard_results, surviving, ctx);
     Clock::time_point t1 = Clock::now();
 
+    // The survivors can still answer when degraded serving is on.
     if (surviving.empty() || (first_error && !allowDegraded_)) {
         record_spans(t0, t1, t1);
         std::rethrow_exception(first_error);
@@ -525,21 +540,17 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
     return merged;
 }
 
-FusedBatchResult
+std::vector<ExecutionResult>
 ShardedEngine::serveFusedChunk(
     const std::vector<std::vector<rt::BufferPtr>> &queries,
-    std::size_t begin, std::size_t end,
     const std::vector<support::SpanContext> *ctxs)
 {
-    C4CAM_CHECK(begin < end && end <= queries.size(),
-                "fused chunk [" << begin << ", " << end
-                << ") out of range for " << queries.size()
-                << " queries");
-    std::size_t n = end - begin;
+    C4CAM_CHECK(!queries.empty(), "fused chunk needs at least one query");
+    std::size_t n = queries.size();
     // Same up-front validation as serve(): every query of the chunk
     // must match the unsharded signature before any shard sees it.
-    for (std::size_t i = 0; i < n; ++i)
-        validateQuery(queries[begin + i]);
+    for (const auto &args : queries)
+        validateQuery(args);
 
     std::vector<support::SpanContext> roots;
     bool own_roots = recorder_->openRoots(ctxs, roots, n);
@@ -558,20 +569,23 @@ ShardedEngine::serveFusedChunk(
             "every shard is quarantined and still cooling down; "
             "no shard can answer this fused chunk");
 
+    // Unlike serve(), ANY shard failure fails the whole chunk (the
+    // QueryBackend contract: nothing half-recorded; the async
+    // front-end falls back to per-query serves, which handle retries
+    // and degraded merges).
     Clock::time_point t0 = Clock::now();
-    std::vector<std::future<FusedBatchResult>> futures;
-    futures.reserve(active.size());
-    for (std::size_t s : active) {
-        futures.push_back(pool_->submit([this, s, &queries, begin, n,
-                                         ctxs, col, &scatter_spans] {
-            // Each shard folds the chunk into ONE fused device window
-            // of its own; per-query spans parent under that query's
-            // scatter span.
+    std::vector<std::vector<ExecutionResult>> shard_batches;
+    std::vector<std::size_t> surviving;
+    std::exception_ptr first_error = scatterToShards(
+        active,
+        [&](std::size_t s) {
+            // Each shard serves the chunk as ONE fused pass of its
+            // own; per-query spans parent under that query's scatter
+            // span.
             std::vector<std::vector<rt::BufferPtr>> shard_queries;
             shard_queries.reserve(n);
-            for (std::size_t i = 0; i < n; ++i)
-                shard_queries.push_back(
-                    shardArgs(queries[begin + i], s));
+            for (const auto &args : queries)
+                shard_queries.push_back(shardArgs(args, s));
             std::vector<support::SpanContext> shard_ctxs;
             if (col) {
                 shard_ctxs.reserve(n);
@@ -581,30 +595,9 @@ ShardedEngine::serveFusedChunk(
                         scatter_spans[i]});
             }
             return shards_[s].engine->serveFusedChunk(
-                shard_queries, 0, n, col ? &shard_ctxs : nullptr);
-        }));
-    }
-    for (auto &future : futures)
-        future.wait();
-    // Harvest with health accounting. Unlike serve(), ANY shard
-    // failure fails the whole chunk (the QueryBackend contract:
-    // nothing half-recorded; the async front-end falls back to
-    // per-query serves, which handle retries and degraded merges).
-    std::vector<FusedBatchResult> shard_batches;
-    shard_batches.reserve(futures.size());
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            shard_batches.push_back(futures[i].get());
-            recordShardSuccess(active[i]);
-        } catch (...) {
-            recordShardFailure(active[i], col,
-                               col ? (*ctxs)[0].traceId : 0,
-                               col ? (*ctxs)[0].queryId : 0);
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
+                shard_queries, col ? &shard_ctxs : nullptr);
+        },
+        shard_batches, surviving, col ? &(*ctxs)[0] : nullptr);
     Clock::time_point t1 = Clock::now();
     if (first_error) {
         if (col) {
@@ -635,17 +628,14 @@ ShardedEngine::serveFusedChunk(
         std::rethrow_exception(first_error);
     }
 
-    FusedBatchResult batch;
-    batch.results.reserve(n);
-    batch.fused.k = static_cast<std::int64_t>(n);
+    std::vector<ExecutionResult> results;
+    results.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<ExecutionResult> per_shard;
         per_shard.reserve(shard_batches.size());
-        for (const FusedBatchResult &sb : shard_batches)
-            per_shard.push_back(sb.results[i]);
-        ExecutionResult merged = mergeShardResults(per_shard, active);
-        batch.fused.addQueryReport(merged.perf);
-        batch.results.push_back(std::move(merged));
+        for (const std::vector<ExecutionResult> &batch : shard_batches)
+            per_shard.push_back(batch[i]);
+        results.push_back(mergeShardResults(per_shard, surviving));
     }
     if (active.size() < shards_.size()) {
         // The whole chunk was answered without the quarantined
@@ -653,10 +643,9 @@ ShardedEngine::serveFusedChunk(
         std::lock_guard<std::mutex> lock(healthMutex_);
         degradedServes_ += static_cast<std::int64_t>(n);
     }
-    batch.fusedReport = batch.fused.toReport(setupReport_);
     Clock::time_point t2 = Clock::now();
 
-    recorder_->recordChunk(batch.results, t0, t2);
+    recorder_->recordChunk(results, t0, t2);
 
     if (col) {
         double u0 = col->toUs(t0);
@@ -689,7 +678,7 @@ ShardedEngine::serveFusedChunk(
                     (*ctxs)[i], u0, u2, static_cast<std::int64_t>(n));
         }
     }
-    return batch;
+    return results;
 }
 
 ServingStats

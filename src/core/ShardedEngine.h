@@ -35,7 +35,9 @@
  * sum in fixed shard order. It is NOT the report of one big device:
  * per-search cell energy scales with the physical subarray geometry,
  * so M small devices are honestly cheaper per search. Outputs are
- * where the bit-identity contract lives.
+ * where the bit-identity contract lives. A fused chunk runs one fused
+ * pass per shard and merges each query exactly like serve(); the
+ * engine keeps no fused totals of its own.
  *
  * Tracing: each query's root span gains a "scatter" child (covering
  * the parallel shard fan-out; the shards' execute/merge spans parent
@@ -48,6 +50,7 @@
  */
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,8 +99,6 @@ struct ShardedEngineOptions
     int shards = 2;
     /** Programmed replicas per shard (shard-level ServingEngine). */
     int replicasPerShard = 1;
-    /** Which kernel parameter holds the stored (sharded) tensor. */
-    std::size_t storedArgIndex = 1;
 
     /// @name Fault tolerance
     /// @{
@@ -143,10 +144,11 @@ class ShardedEngine : public QueryBackend
     /**
      * Compile @p source once per shard (stored parameter's leading
      * extent overridden to the slice size) and program each shard
-     * with its row slice of @p setup_args[storedArgIndex]. The other
-     * setup arguments are shared across shards unchanged. The kernel
-     * must return exactly (values, indices) rank-2 tensors -- the
-     * shardable shape -- and end in a top-k; both are verified here.
+     * with its row slice of the stored tensor, the kernel's second
+     * parameter (@p setup_args[1]). The other setup arguments are
+     * shared across shards unchanged. The kernel must return exactly
+     * (values, indices) rank-2 tensors -- the shardable shape -- and
+     * end in a top-k; both are verified here.
      */
     ShardedEngine(const CompilerOptions &options,
                   const std::string &source,
@@ -167,12 +169,11 @@ class ShardedEngine : public QueryBackend
     serve(const std::vector<rt::BufferPtr> &args,
           const support::SpanContext *ctx = nullptr) override;
 
-    /** One fused window per shard over queries [begin, end); each
-     *  query merged exactly like serve(). The fused totals are the
-     *  sums of the merged per-query reports. */
-    FusedBatchResult serveFusedChunk(
+    /** One fused pass per shard over @p queries; each query merged
+     *  exactly like serve(). Any shard failure fails the whole chunk
+     *  (the caller falls back to per-query serve()). */
+    std::vector<ExecutionResult> serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
-        std::size_t begin, std::size_t end,
         const std::vector<support::SpanContext> *ctxs = nullptr) override;
 
     void
@@ -251,6 +252,25 @@ class ShardedEngine : public QueryBackend
      */
     std::vector<std::size_t> selectActiveShards();
 
+    /**
+     * The scatter step of serve() and serveFusedChunk(): run
+     * @p serve_shard(s) on the pool for every shard s in @p active,
+     * wait for EVERY task (a failing shard must not leave siblings
+     * running against the caller's borrowed arguments), then harvest
+     * in shard order. A shard that answered is recorded healthy and
+     * its result appended to @p results, its id to @p survivors; a
+     * shard that threw counts toward quarantine (recordShardFailure
+     * under @p ctx). Returns the first shard error, null when every
+     * shard answered; each caller applies its own failure policy.
+     */
+    template <typename Result, typename ServeShard>
+    std::exception_ptr
+    scatterToShards(const std::vector<std::size_t> &active,
+                    const ServeShard &serve_shard,
+                    std::vector<Result> &results,
+                    std::vector<std::size_t> &survivors,
+                    const support::SpanContext *ctx);
+
     /** Health bookkeeping after a shard answered. */
     void recordShardSuccess(std::size_t s);
 
@@ -258,11 +278,10 @@ class ShardedEngine : public QueryBackend
      * Health bookkeeping after a shard failed: counts toward
      * quarantine, and on a healthy->quarantined transition bumps the
      * counter and records a self-rooted "shard-quarantine" marker
-     * span (when @p col is tracing).
+     * span (when @p ctx is tracing; it names the query whose failure
+     * tripped the breaker).
      */
-    void recordShardFailure(std::size_t s, support::TraceCollector *col,
-                            std::uint64_t trace_id,
-                            std::uint64_t query_id);
+    void recordShardFailure(std::size_t s, const support::SpanContext *ctx);
 
     /** @p args with the stored parameter swapped for shard @p s's
      *  programmed slice view. */
@@ -281,7 +300,6 @@ class ShardedEngine : public QueryBackend
                       const std::vector<std::size_t> &shard_ids) const;
 
     int replicasPerShard_ = 1;
-    std::size_t storedArgIndex_ = 1;
     bool allowDegraded_ = false;
     int quarantineThreshold_ = 3;
     std::int64_t cooldownMs_ = 100;

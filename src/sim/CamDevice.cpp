@@ -48,7 +48,7 @@ CamDevice::cloneProgrammed() const
                 << " timing scopes are open (clone between queries, "
                 "not mid-execution)");
     C4CAM_CHECK(!fusedActive_,
-                "cloneProgrammed while a fused multi-query window is "
+                "cloneProgrammed while a fused multi-query pass is "
                 "open (finish the fused batch first)");
     return std::unique_ptr<CamDevice>(new CamDevice(*this));
 }
@@ -357,10 +357,6 @@ CamDevice::postQueryTransfer(std::int64_t elements)
 void
 CamDevice::beginQueryWindow()
 {
-    // Inside a fused window, the previous query's finished window is
-    // folded into the fused totals before being replaced.
-    if (fusedActive_ && windowsSinceFused_ > 0)
-        foldWindowIntoFused();
     timing_.beginQueryWindow();
     // Replace the whole per-window object, and advance the window
     // number so last-search results go stale: a read-before-search in
@@ -368,38 +364,25 @@ CamDevice::beginQueryWindow()
     // not silently served stale data from the previous query.
     window_ = WindowState{};
     ++queryWindow_;
-    if (fusedActive_)
-        ++windowsSinceFused_;
 }
 
 void
-CamDevice::foldWindowIntoFused()
+CamDevice::beginFusedPass()
 {
-    const Cost &query = timing_.queryCost();
-    fused_.total.latencyNs += query.latencyNs;
-    fused_.total.energyPj += query.energyPj;
-    fused_.cellEnergyPj += window_.cellEnergy;
-    fused_.senseEnergyPj += window_.senseEnergy;
-    fused_.driveEnergyPj += window_.driveEnergy;
-    fused_.mergeEnergyPj += window_.mergeEnergy;
-    fused_.searches += window_.searches;
-    ++fused_.queriesFolded;
-}
-
-void
-CamDevice::beginFusedWindow(int k)
-{
-    C4CAM_CHECK(k >= 1, "fused window needs k >= 1 queries, got " << k);
     C4CAM_CHECK(!fusedActive_,
-                "beginFusedWindow while another fused window is open "
-                "(fused windows do not nest)");
+                "beginFusedPass while another fused pass is open "
+                "(fused passes do not nest)");
     C4CAM_CHECK(timing_.depth() == 0,
-                "beginFusedWindow while " << timing_.depth()
+                "beginFusedPass while " << timing_.depth()
                 << " timing scopes are open");
-    fused_ = FusedWindow{};
-    fused_.k = k;
     fusedActive_ = true;
-    windowsSinceFused_ = 0;
+}
+
+void
+CamDevice::endFusedPass()
+{
+    C4CAM_CHECK(fusedActive_, "endFusedPass without an open fused pass");
+    fusedActive_ = false;
     fusedDriven_.clear();
 }
 
@@ -407,7 +390,7 @@ void
 CamDevice::setFusionModel(FusionModel model)
 {
     C4CAM_CHECK(!fusedActive_,
-                "setFusionModel while a fused multi-query window is "
+                "setFusionModel while a fused multi-query pass is "
                 "open (the model must not change mid-batch)");
     fusionModel_ = model;
 }
@@ -423,40 +406,14 @@ void
 CamDevice::abortQueryWindow()
 {
     timing_.abortOpenScopes();
-    if (fusedActive_)
-        abortFusedWindow();
+    // A failed query ends its fused pass: a retried batch pays the
+    // per-pass drive again, as if the aborted pass never happened.
+    fusedActive_ = false;
+    fusedDriven_.clear();
     // Fresh window on top of the preserved setup accounting; the
     // timing engine's window was already reset by abortOpenScopes().
     window_ = WindowState{};
     ++queryWindow_;
-}
-
-void
-CamDevice::abortFusedWindow()
-{
-    fusedActive_ = false;
-    windowsSinceFused_ = 0;
-    fused_ = FusedWindow{};
-    fusedDriven_.clear();
-}
-
-FusedWindow
-CamDevice::endFusedWindow()
-{
-    C4CAM_CHECK(fusedActive_,
-                "endFusedWindow without an open fused window");
-    C4CAM_CHECK(timing_.depth() == 0,
-                "endFusedWindow while " << timing_.depth()
-                << " timing scopes are open");
-    if (windowsSinceFused_ > 0)
-        foldWindowIntoFused();
-    C4CAM_CHECK(fused_.queriesFolded == fused_.k,
-                "fused window declared " << fused_.k
-                << " queries but served " << fused_.queriesFolded);
-    fusedActive_ = false;
-    windowsSinceFused_ = 0;
-    fusedDriven_.clear();
-    return fused_;
 }
 
 PerfReport

@@ -15,6 +15,12 @@
  * stamped with the number of the query window that filled it, so
  * search() and read() do no keyed lookup and starting a window
  * clears no container.
+ *
+ * Accounting is one query window at a time: report() describes the
+ * current window on top of the device-lifetime setup cost. A fused
+ * pass (beginFusedPass) only changes what each window's searches cost
+ * under FusionModel::TrueFused; the device never sums windows --
+ * callers fold the per-query reports with PerfReport::addQueryWindow.
  */
 
 #include <cstdint>
@@ -38,10 +44,10 @@ using Handle = std::int64_t;
  * The CAM accelerator instance for one ArchSpec.
  *
  * Threading model: a CamDevice is single-threaded -- it serves one
- * query at a time and keeps per-query accounting in a QueryWindow
- * object. Concurrent serving uses one device *replica* per worker,
- * created with cloneProgrammed() so the one-time programming cost is
- * paid (and accounted) only once.
+ * query at a time and keeps per-query accounting in one query window.
+ * Concurrent serving uses one device *replica* per worker, created
+ * with cloneProgrammed() so the one-time programming cost is paid
+ * (and accounted) only once.
  */
 class CamDevice
 {
@@ -159,64 +165,44 @@ class CamDevice
     /**
      * Fault-recovery cleanup: unconditionally return the device to a
      * servable between-queries state after an exception unwound
-     * mid-execution. Discards open timing scopes, any open fused
-     * window, and the partial query window (its search results stop
-     * being readable); keeps all programmed data and setup
-     * accounting. The serving tier calls this on every failure path
-     * before releasing a replica back to the pool, so a retried query
-     * starts from the exact state a fault-free query would see.
+     * mid-execution. Discards open timing scopes, closes any open
+     * fused pass, and drops the partial query window (its search
+     * results stop being readable); keeps all programmed data and
+     * setup accounting. The serving tier calls this on every failure
+     * path before releasing a replica back to the pool, so a retried
+     * query starts from the exact state a fault-free query would see.
      */
     void abortQueryWindow();
     /// @}
 
-    /// @name Fused multi-query windows
+    /// @name Fused multi-query passes
     /// @{
     /**
-     * Select how fused windows charge the device (default
+     * Select how fused passes charge the device (default
      * FusionModel::ExactSerial; see sim::FusionModel). Must be set
-     * between queries, never while a fused window is open; clones
+     * between queries, never while a fused pass is open; clones
      * inherit the model. Under TrueFused the first search a fused pass
      * performs on each subarray posts the full cost and later searches
      * on the same subarray skip the drive latency and the cell/driver
      * energy -- the hardware's one-precharge-serves-K behaviour (paper
-     * §IV). Outside fused windows the model is irrelevant: serial
+     * §IV). Outside fused passes the model is irrelevant: serial
      * queries always post full cost.
      */
     void setFusionModel(FusionModel model);
     FusionModel fusionModel() const { return fusionModel_; }
 
     /**
-     * Open a fused accounting window for @p k queries: the caller
-     * drives the K query vectors through the programmed device as one
-     * pass -- each query still in its own query window -- and the
-     * device folds every finished window into one FusedWindow. What
-     * the window's totals mean depends on the FusionModel: under
-     * ExactSerial (default) they are exactly the sum of K serial
-     * windows and every per-query report stays bit-identical to serial
-     * serving (fusion amortizes only the *attribution*: drive energy
-     * and setup shares, see FusedWindow / PerfReport::fused*); under
-     * TrueFused the drive/precharge of each subarray is charged once
-     * per pass, so the totals come in strictly below the serial sum
-     * while outputs stay bit-identical. Fused windows do not nest, and
-     * the device cannot be cloned while one is open.
+     * Open a fused pass: the caller drives several query vectors
+     * through the programmed device back to back, each in its own
+     * query window, and each window's report is that query's cost
+     * under the FusionModel. The device keeps only which subarrays
+     * the pass already drove. Passes do not nest, and the device
+     * cannot be cloned while one is open.
      */
-    void beginFusedWindow(int k);
+    void beginFusedPass();
 
-    /**
-     * Close the fused window after exactly k queries were served and
-     * return its accounting.
-     */
-    FusedWindow endFusedWindow();
-
-    bool fusedWindowActive() const { return fusedActive_; }
-
-    /**
-     * Discard an open fused window without the served-count check
-     * (error-path cleanup: a query failed mid-batch and the partial
-     * fused accounting is meaningless). Per-query windows and all
-     * setup state are unaffected.
-     */
-    void abortFusedWindow();
+    /** Close the open pass; its driven subarrays are forgotten. */
+    void endFusedPass();
     /// @}
 
     /** Snapshot of all counters and accumulated costs. */
@@ -272,7 +258,7 @@ class CamDevice
     /**
      * Per-query-window device accounting: the query-energy breakdown
      * and the search counter. Replaced as one object by
-     * beginQueryWindow() (the timing engine swaps its own QueryWindow
+     * beginQueryWindow() (the timing engine restarts its query totals
      * in lockstep), so "reset" bugs where one counter is forgotten
      * cannot happen.
      */
@@ -297,9 +283,6 @@ class CamDevice
 
     /** Deep copy for cloneProgrammed(). */
     CamDevice(const CamDevice &other);
-
-    /** Fold the finished query window into the open fused window. */
-    void foldWindowIntoFused();
 
     static const char *kindName(HandleKind kind);
     Handle newHandle(HandleInfo info);
@@ -333,12 +316,9 @@ class CamDevice
     int faultDevice_ = -1;
     /// @}
 
-    /// @name Fused multi-query window state
+    /// @name Fused multi-query pass state
     /// @{
     bool fusedActive_ = false;
-    /** Query windows opened since the fused window began. */
-    std::int64_t windowsSinceFused_ = 0;
-    FusedWindow fused_;
     FusionModel fusionModel_ = FusionModel::ExactSerial;
     /** Subarrays already driven in the open fused pass (TrueFused:
      *  their precharge/drive is paid; later searches sense only). */

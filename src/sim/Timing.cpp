@@ -42,8 +42,8 @@ TimingEngine::endScope()
     Scope child = scopes_.back();
     scopes_.pop_back();
     if (scopes_.empty()) {
-        window_.total.latencyNs += child.queryAcc.latencyNs;
-        window_.total.energyPj += child.queryAcc.energyPj;
+        queryTotal_.latencyNs += child.queryAcc.latencyNs;
+        queryTotal_.energyPj += child.queryAcc.energyPj;
         setupTotal_.latencyNs += child.setupAcc.latencyNs;
         setupTotal_.energyPj += child.setupAcc.energyPj;
     } else {
@@ -59,7 +59,7 @@ TimingEngine::post(double latency_ns, double energy_pj)
     Cost *acc = nullptr;
     if (scopes_.empty()) {
         // Top-level leaf cost: accumulate sequentially into the totals.
-        acc = phase_ == Phase::Query ? &window_.total : &setupTotal_;
+        acc = phase_ == Phase::Query ? &queryTotal_ : &setupTotal_;
         acc->latencyNs += latency_ns;
         acc->energyPj += energy_pj;
         return;
@@ -79,55 +79,17 @@ void
 TimingEngine::abortOpenScopes()
 {
     scopes_.clear();
-    window_ = QueryWindow{};
+    queryTotal_ = Cost{};
     phase_ = Phase::Query;
 }
 
-QueryWindow
+void
 TimingEngine::beginQueryWindow()
 {
     C4CAM_ASSERT(scopes_.empty(),
                  "beginQueryWindow with " << scopes_.size()
                  << " scopes still open");
-    QueryWindow finished = window_;
-    window_ = QueryWindow{};
-    return finished;
-}
-
-void
-FusedWindow::addQueryReport(const PerfReport &query)
-{
-    total.latencyNs += query.queryLatencyNs;
-    total.energyPj += query.queryEnergyPj;
-    cellEnergyPj += query.cellEnergyPj;
-    senseEnergyPj += query.senseEnergyPj;
-    driveEnergyPj += query.driveEnergyPj;
-    mergeEnergyPj += query.mergeEnergyPj;
-    searches += query.searches;
-    // A fused window covering any partial result is itself partial --
-    // the same min-fold PerfReport::addQueryWindow applies.
-    coverage = std::min(coverage, query.coverage);
-    ++queriesFolded;
-}
-
-PerfReport
-FusedWindow::toReport(const PerfReport &setup) const
-{
-    PerfReport report = setup;
-    report.queryLatencyNs = total.latencyNs;
-    report.queryEnergyPj = total.energyPj;
-    report.cellEnergyPj = cellEnergyPj;
-    report.senseEnergyPj = senseEnergyPj;
-    report.driveEnergyPj = driveEnergyPj;
-    report.mergeEnergyPj = mergeEnergyPj;
-    report.searches = searches;
-    // Report the queries actually folded, not the declared width: an
-    // under-filled window (aborted mid-batch) claiming k queries would
-    // silently deflate every per-query average.
-    report.queriesServed = queriesFolded;
-    report.fusedBatchK = queriesFolded;
-    report.coverage = std::min(setup.coverage, coverage);
-    return report;
+    queryTotal_ = Cost{};
 }
 
 void

@@ -11,6 +11,12 @@
  * behaviour of the paper's hierarchy (parallel vs sequential access
  * modes, selective-search cycles, power-capped subarray activation)
  * without event-driven simulation.
+ *
+ * Query cost is accounted per window: each served query starts from
+ * zero (TimingEngine::beginQueryWindow) and renders as its own
+ * PerfReport. Every multi-query figure -- a session or engine
+ * aggregate, a fused batch's report -- is PerfReport::addQueryWindow
+ * folding those per-query reports on top of one setup report.
  */
 
 #include <cstdint>
@@ -34,114 +40,28 @@ struct Cost
 };
 
 /**
- * How a fused multi-query window charges the device (paper §IV).
+ * How a fused multi-query pass charges the device (paper §IV).
  *
  * ExactSerial (the default): fusion only re-attributes cost. Every
- * query of the fused pass posts the full search cost, so the fused
- * totals equal the serial sum bit for bit and every per-query report
- * stays identical to serial serving -- the invariant the differential
- * tests lock.
+ * query of the fused pass posts the full search cost, so every
+ * per-query report stays identical to serial serving and the fused
+ * report (the fold of those windows) equals the serial sum bit for
+ * bit -- the invariant the differential tests lock.
  *
  * TrueFused: model what the hardware actually buys. The ML precharge
  * and data-line drive of a subarray are charged once per fused pass --
  * the first query to search a subarray pays the full cost, queries
  * 2..K against the same programmed subarray pay only the sense/merge
- * share (no drive latency, no cell/driver energy). Fused totals come
- * in strictly below the serial sum for K >= 2; outputs are unaffected
- * (the model changes cost posting, never match results), and the
- * per-query reports of queries 2..K are honestly cheaper than their
- * serial counterparts.
+ * share (no drive latency, no cell/driver energy). The per-query
+ * reports of queries 2..K are honestly cheaper than their serial
+ * counterparts, so their fold comes in strictly below the serial sum
+ * for K >= 2; outputs are unaffected (the model changes cost posting,
+ * never match results).
  */
 enum class FusionModel
 {
     ExactSerial,
     TrueFused,
-};
-
-/**
- * Query-phase accounting for one served query: everything that starts
- * from zero when a new query window opens. Setup accounting is
- * device-lifetime state and intentionally not part of this object --
- * replacing the window is what gives every query of a session figures
- * that are bit-identical to its first (no subtraction of snapshots,
- * no field-by-field resets to forget).
- */
-struct QueryWindow
-{
-    Cost total;
-};
-
-/**
- * Accounting of one fused multi-query window: K query vectors driven
- * through one programmed device pass per search. The device folds
- * each of the K per-query windows into this object. What the totals
- * mean depends on the device's FusionModel: under ExactSerial they
- * are by construction exactly the sum of the serial windows (the
- * invariant the differential tests lock) and fusion only buys the
- * amortized attribution -- drive energy and one-time setup charged
- * once for the batch, 1/K shares per query; under TrueFused the
- * folded windows themselves are cheaper (drive charged once per
- * subarray per pass), so the totals come in strictly below the
- * serial sum.
- */
-struct FusedWindow
-{
-    std::int64_t k = 0;             ///< declared batch width
-    std::int64_t queriesFolded = 0; ///< query windows folded so far
-    Cost total;                     ///< sum over the K query windows
-
-    /// @name Query-energy breakdown summed over the batch
-    /// @{
-    double cellEnergyPj = 0.0;
-    double senseEnergyPj = 0.0;
-    double driveEnergyPj = 0.0;
-    double mergeEnergyPj = 0.0;
-    /// @}
-
-    std::int64_t searches = 0;
-
-    /** Min over the folded queries' coverage: a fused window covering
-     *  any degraded (partial top-k) result is itself partial. */
-    double coverage = 1.0;
-
-    /// @name Amortized per-query attribution (guarded against k == 0)
-    /// @{
-    double
-    latencyPerQueryNs() const
-    {
-        return k > 0 ? total.latencyNs / double(k) : 0.0;
-    }
-    double
-    energyPerQueryPj() const
-    {
-        return k > 0 ? total.energyPj / double(k) : 0.0;
-    }
-    /** Drive energy attributed to one query of the fused pass. */
-    double
-    driveEnergyPerQueryPj() const
-    {
-        return k > 0 ? driveEnergyPj / double(k) : 0.0;
-    }
-    /// @}
-
-    /**
-     * Fold one served query's report into the fused totals (the
-     * PerfReport-sourced counterpart of the device's window fold;
-     * host-only sessions and sharded engines use it to synthesize
-     * fused accounting).
-     * Does not advance queriesFolded bookkeeping by more than one.
-     */
-    void addQueryReport(const struct PerfReport &query);
-
-    /**
-     * Render as a PerfReport: query fields from the fused totals on
-     * top of @p setup's one-time fields. queriesServed and fusedBatchK
-     * report the queries actually folded (== k for a full window; an
-     * under-filled or aborted window must never deflate per-query
-     * averages by claiming the declared width), and coverage carries
-     * the min-fold over the folded queries.
-     */
-    struct PerfReport toReport(const struct PerfReport &setup) const;
 };
 
 /**
@@ -176,23 +96,18 @@ class TimingEngine
 
     /// @name Totals (valid when all scopes are closed)
     /// @{
-    const Cost &queryCost() const { return window_.total; }
+    const Cost &queryCost() const { return queryTotal_; }
     const Cost &setupCost() const { return setupTotal_; }
-
-    /** The current query-window accounting object. */
-    const QueryWindow &queryWindow() const { return window_; }
     /// @}
 
     /**
-     * Start a fresh query window: the current QueryWindow object is
-     * replaced wholesale while the device-lifetime setup totals stay.
-     * Requires all scopes to be closed. An execution session calls
-     * this before re-entering the query body so each query's cost is
-     * accumulated from zero instead of being recovered by subtracting
-     * snapshots.
-     * @return the finished window (the previous query's accounting).
+     * Start a fresh query window: the query-phase totals restart from
+     * zero while the device-lifetime setup totals stay. Requires all
+     * scopes to be closed. An execution session calls this before
+     * re-entering the query body so each query's cost is accumulated
+     * from zero instead of being recovered by subtracting snapshots.
      */
-    QueryWindow beginQueryWindow();
+    void beginQueryWindow();
 
     /**
      * Fault-recovery cleanup: discard every open scope (and the
@@ -221,7 +136,8 @@ class TimingEngine
     void fold(Scope &parent, const Scope &child);
 
     std::vector<Scope> scopes_;
-    QueryWindow window_;
+    /** Query-phase totals of the current query window. */
+    Cost queryTotal_;
     Cost setupTotal_;
     Phase phase_ = Phase::Query;
 };
@@ -272,11 +188,12 @@ struct PerfReport
 
     /**
      * Fused-batch width: > 0 when the query-phase figures describe one
-     * fused multi-query device pass of this many query vectors
-     * (CamDevice::beginFusedWindow). The totals still equal the sum of
-     * the per-query windows; the fused* accessors attribute the
-     * amortizable components (drive energy, one-time setup) as 1/K
-     * shares per query. 0 for ordinary per-query reports.
+     * fused multi-query pass of this many queries
+     * (core::ExecutionSession::runFusedBatch). The query fields are
+     * the addQueryWindow() fold of the K per-query windows; the fused*
+     * accessors attribute the amortizable components (drive energy,
+     * one-time setup) as 1/K shares per query. 0 for ordinary
+     * per-query reports.
      */
     std::int64_t fusedBatchK = 0;
 
@@ -363,12 +280,14 @@ struct PerfReport
                    : 0.0;
     }
 
-    /// @name Aggregation (shared by sessions and the serving engine)
+    /// @name Aggregation (the one fold of query windows)
     /// @{
     /**
      * Fold one served query's report into this aggregate: query-phase
-     * latency/energy, the energy breakdown and the search counter sum;
-     * setup fields are left alone (setup is paid once per session).
+     * latency/energy, the energy breakdown and the search counter sum,
+     * and the min over coverage; setup fields are left alone (setup is
+     * paid once per session). Serving aggregates and fused batch
+     * reports are both this fold on top of a setup report.
      */
     void addQueryWindow(const PerfReport &query);
     /// @}

@@ -322,21 +322,22 @@ TEST(DifferentialFuzz, FusionModelOffBitIdenticalOnPreservesOutputs)
 
         // TrueFused never invents work: non-amortizable components
         // match exactly in every phase...
-        EXPECT_EQ(via_on.fused.searches, via_default.fused.searches);
-        EXPECT_EQ(via_on.fused.senseEnergyPj,
-                  via_default.fused.senseEnergyPj);
-        EXPECT_EQ(via_on.fused.mergeEnergyPj,
-                  via_default.fused.mergeEnergyPj);
+        EXPECT_EQ(via_on.fusedReport.searches,
+                  via_default.fusedReport.searches);
+        EXPECT_EQ(via_on.fusedReport.senseEnergyPj,
+                  via_default.fusedReport.senseEnergyPj);
+        EXPECT_EQ(via_on.fusedReport.mergeEnergyPj,
+                  via_default.fusedReport.mergeEnergyPj);
         EXPECT_EQ(via_on.fusedReport.fusedBatchK,
                   static_cast<std::int64_t>(kFusedK));
         // ...and the amortizable ones only ever shrink.
         if (on_session.device()) {
-            EXPECT_LT(via_on.fused.total.energyPj,
-                      via_default.fused.total.energyPj);
-            EXPECT_LT(via_on.fused.total.latencyNs,
-                      via_default.fused.total.latencyNs);
-            EXPECT_LT(via_on.fused.driveEnergyPj,
-                      via_default.fused.driveEnergyPj);
+            EXPECT_LT(via_on.fusedReport.queryEnergyPj,
+                      via_default.fusedReport.queryEnergyPj);
+            EXPECT_LT(via_on.fusedReport.queryLatencyNs,
+                      via_default.fusedReport.queryLatencyNs);
+            EXPECT_LT(via_on.fusedReport.driveEnergyPj,
+                      via_default.fusedReport.driveEnergyPj);
         } else {
             // Host-only: nothing device-side to fuse, the model is
             // inert by construction.

@@ -2,10 +2,11 @@
  * @file
  * Fused multi-query batching invariants.
  *
- * Under sim::FusionModel::ExactSerial (the default) the fused window's
- * totals must equal the sum of the per-query windows exactly (fusion
- * changes the attribution, never the physics) and per-query reports
- * stay bit-identical to serial serving. Under TrueFused the pass
+ * A fused batch's report is the session's setup plus the fold of its
+ * per-query windows. Under sim::FusionModel::ExactSerial (the default)
+ * per-query reports stay bit-identical to serial serving, so the
+ * fused totals equal the serial sum exactly (fusion changes the
+ * attribution, never the physics). Under TrueFused the pass
  * charges each subarray's precharge/drive once, so totals come in
  * strictly below the serial sum. Outputs are bit-identical to serial
  * serving in both models, and the amortized attribution must divide
@@ -79,8 +80,8 @@ TEST(FusedBatch, K4TotalsEqualSumOfSerialWindows)
     core::FusedBatchResult fused = session.runFusedBatch(queries);
 
     ASSERT_EQ(fused.results.size(), 4u);
-    EXPECT_EQ(fused.fused.k, 4);
-    EXPECT_EQ(fused.fused.queriesFolded, 4);
+    EXPECT_EQ(fused.fusedReport.fusedBatchK, 4);
+    EXPECT_EQ(fused.fusedReport.queriesServed, 4);
 
     double lat = 0.0;
     double energy = 0.0;
@@ -108,13 +109,81 @@ TEST(FusedBatch, K4TotalsEqualSumOfSerialWindows)
                   serial_results[i].outputs[1].asBuffer()->toVector());
     }
     // The fused totals ARE the sum -- exact equality, not approximate.
-    EXPECT_EQ(fused.fused.total.latencyNs, lat);
-    EXPECT_EQ(fused.fused.total.energyPj, energy);
-    EXPECT_EQ(fused.fused.cellEnergyPj, cell);
-    EXPECT_EQ(fused.fused.senseEnergyPj, sense);
-    EXPECT_EQ(fused.fused.driveEnergyPj, drive);
-    EXPECT_EQ(fused.fused.mergeEnergyPj, merge);
-    EXPECT_EQ(fused.fused.searches, searches);
+    EXPECT_EQ(fused.fusedReport.queryLatencyNs, lat);
+    EXPECT_EQ(fused.fusedReport.queryEnergyPj, energy);
+    EXPECT_EQ(fused.fusedReport.cellEnergyPj, cell);
+    EXPECT_EQ(fused.fusedReport.senseEnergyPj, sense);
+    EXPECT_EQ(fused.fusedReport.driveEnergyPj, drive);
+    EXPECT_EQ(fused.fusedReport.mergeEnergyPj, merge);
+    EXPECT_EQ(fused.fusedReport.searches, searches);
+}
+
+TEST(FusedBatch, ReportIsSetupPlusFoldedQueryWindows)
+{
+    // A fused batch's report is the session's setup report plus each
+    // served query's window, folded by PerfReport::addQueryWindow (the
+    // fold every serving aggregate uses), with queriesServed =
+    // fusedBatchK = K. Under ExactSerial each window is also the
+    // serial one, so the report is the serial fold.
+    struct Case
+    {
+        const char *name;
+        core::CompilerOptions options;
+        std::int64_t rows;
+        std::int64_t dims;
+        std::string source;
+    };
+    core::CompilerOptions tcam;
+    tcam.spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    core::CompilerOptions tcam_fused = tcam;
+    tcam_fused.fusionModel = sim::FusionModel::TrueFused;
+    core::CompilerOptions mcam;
+    mcam.spec = ArchSpec::dseSetup(16, OptTarget::Base);
+    mcam.spec.camType = arch::CamDeviceType::Mcam;
+    mcam.spec.bitsPerCell = 2;
+    core::CompilerOptions host = tcam;
+    host.hostOnly = true;
+    const std::vector<Case> cases{
+        {"tcam_dot_exact", tcam, 8, 64,
+         apps::dotSimilaritySource(1, 8, 64, 1)},
+        {"tcam_dot_true_fused", tcam_fused, 8, 64,
+         apps::dotSimilaritySource(1, 8, 64, 1)},
+        {"mcam_knn_exact", mcam, 32, 32,
+         apps::knnEuclideanSource(1, 32, 32, 2)},
+        {"host_dot", host, 8, 64, apps::dotSimilaritySource(1, 8, 64, 1)},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        core::Compiler compiler(c.options);
+        core::CompiledKernel kernel = compiler.compileTorchScript(c.source);
+        auto stored = randomRows(c.rows, c.dims, 83);
+        auto stored_buf = rt::Buffer::fromMatrix(stored);
+        std::vector<std::vector<rt::BufferPtr>> queries;
+        for (std::size_t i = 0; i < 4; ++i)
+            queries.push_back(
+                {rt::Buffer::fromMatrix({stored[i]}), stored_buf});
+
+        core::ExecutionSession session = kernel.createSession(queries[0]);
+        core::FusedBatchResult batch = session.runFusedBatch(queries);
+        ASSERT_EQ(batch.results.size(), 4u);
+
+        sim::PerfReport folded = session.setupReport();
+        for (const core::ExecutionResult &r : batch.results)
+            folded.addQueryWindow(r.perf);
+        folded.queriesServed = 4;
+        folded.fusedBatchK = 4;
+        EXPECT_EQ(batch.fusedReport.toJson().dump(),
+                  folded.toJson().dump());
+
+        if (c.options.fusionModel == sim::FusionModel::ExactSerial) {
+            core::ExecutionSession serial =
+                kernel.createSession(queries[0]);
+            for (std::size_t i = 0; i < 4; ++i)
+                EXPECT_EQ(batch.results[i].perf.toJson().dump(),
+                          serial.runQuery(queries[i]).perf.toJson().dump());
+        }
+    }
 }
 
 TEST(FusedBatch, AmortizedAttributionDividesByK)
@@ -131,10 +200,10 @@ TEST(FusedBatch, AmortizedAttributionDividesByK)
     core::ExecutionSession session = kernel.createSession(queries[0]);
     core::FusedBatchResult fused = session.runFusedBatch(queries);
 
-    EXPECT_DOUBLE_EQ(fused.fused.latencyPerQueryNs(),
-                     fused.fused.total.latencyNs / 4.0);
-    EXPECT_DOUBLE_EQ(fused.fused.driveEnergyPerQueryPj(),
-                     fused.fused.driveEnergyPj / 4.0);
+    EXPECT_DOUBLE_EQ(fused.fusedReport.avgQueryLatencyNs(),
+                     fused.fusedReport.queryLatencyNs / 4.0);
+    EXPECT_DOUBLE_EQ(fused.fusedReport.fusedDriveEnergyPerQueryPj(),
+                     fused.fusedReport.driveEnergyPj / 4.0);
 
     const sim::PerfReport &report = fused.fusedReport;
     EXPECT_EQ(report.fusedBatchK, 4);
@@ -210,7 +279,7 @@ TEST(FusedBatch, HostOnlySessionSynthesizesFusedAccounting)
              stored_buf});
     core::FusedBatchResult fused = session.runFusedBatch(queries);
     ASSERT_EQ(fused.results.size(), 3u);
-    EXPECT_EQ(fused.fused.k, 3);
+    EXPECT_EQ(fused.fusedReport.fusedBatchK, 3);
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(fused.results[static_cast<std::size_t>(i)]
                       .outputs[1]
@@ -239,33 +308,29 @@ TEST(FusedBatch, EngineChunksStreamAndMatchesSerial)
     // 10 queries at width 4 -> chunks of 4, 4, 2 in stream order, each
     // on whichever of the two replicas is free.
     auto engine = kernel.createServingEngine(queries[0], 2);
-    std::vector<core::FusedBatchResult> chunks;
-    for (std::size_t begin = 0; begin < queries.size(); begin += 4)
+    std::vector<std::vector<core::ExecutionResult>> chunks;
+    for (std::size_t begin = 0; begin < queries.size(); begin += 4) {
+        std::size_t end = std::min(queries.size(), begin + 4);
         chunks.push_back(engine->serveFusedChunk(
-            queries, begin, std::min(queries.size(), begin + 4)));
+            {queries.begin() + static_cast<std::ptrdiff_t>(begin),
+             queries.begin() + static_cast<std::ptrdiff_t>(end)}));
+    }
     ASSERT_EQ(chunks.size(), 3u);
-    EXPECT_EQ(chunks[0].fused.k, 4);
-    EXPECT_EQ(chunks[1].fused.k, 4);
-    EXPECT_EQ(chunks[2].fused.k, 2);
+    EXPECT_EQ(chunks[0].size(), 4u);
+    EXPECT_EQ(chunks[1].size(), 4u);
+    EXPECT_EQ(chunks[2].size(), 2u);
 
     std::size_t idx = 0;
-    for (const core::FusedBatchResult &chunk : chunks) {
-        double lat = 0.0;
-        std::int64_t searches = 0;
-        for (const core::ExecutionResult &r : chunk.results) {
+    for (const std::vector<core::ExecutionResult> &chunk : chunks) {
+        for (const core::ExecutionResult &r : chunk) {
             const sim::PerfReport &ref = serial_results[idx].perf;
             EXPECT_EQ(r.perf.queryLatencyNs, ref.queryLatencyNs);
             EXPECT_EQ(r.perf.queryEnergyPj, ref.queryEnergyPj);
             EXPECT_EQ(r.outputs[1].asBuffer()->toVector(),
                       serial_results[idx].outputs[1].asBuffer()
                           ->toVector());
-            lat += r.perf.queryLatencyNs;
-            searches += r.perf.searches;
             ++idx;
         }
-        EXPECT_EQ(chunk.fused.total.latencyNs, lat);
-        EXPECT_EQ(chunk.fused.searches, searches);
-        EXPECT_EQ(chunk.fusedReport.fusedBatchK, chunk.fused.k);
     }
     EXPECT_EQ(engine->queriesServed(), 10);
 }
@@ -336,14 +401,14 @@ TEST(FusedBatch, TrueFusedK8ComesInStrictlyBelowSerialSum)
 
     // Amortizable components (drive, cell precharge, latency, total
     // energy) come in strictly below the serial sum.
-    EXPECT_LT(fused.fused.total.latencyNs, lat);
-    EXPECT_LT(fused.fused.total.energyPj, energy);
-    EXPECT_LT(fused.fused.cellEnergyPj, cell);
-    EXPECT_LT(fused.fused.driveEnergyPj, drive);
+    EXPECT_LT(fused.fusedReport.queryLatencyNs, lat);
+    EXPECT_LT(fused.fusedReport.queryEnergyPj, energy);
+    EXPECT_LT(fused.fusedReport.cellEnergyPj, cell);
+    EXPECT_LT(fused.fusedReport.driveEnergyPj, drive);
     // Non-amortizable components stay exactly equal.
-    EXPECT_EQ(fused.fused.senseEnergyPj, sense);
-    EXPECT_EQ(fused.fused.mergeEnergyPj, merge);
-    EXPECT_EQ(fused.fused.searches, searches);
+    EXPECT_EQ(fused.fusedReport.senseEnergyPj, sense);
+    EXPECT_EQ(fused.fusedReport.mergeEnergyPj, merge);
+    EXPECT_EQ(fused.fusedReport.searches, searches);
     EXPECT_EQ(fused.fusedReport.fusedBatchK, 8);
     EXPECT_EQ(fused.fusedReport.queriesServed, 8);
     EXPECT_LT(fused.fusedReport.queryEnergyPj / 8.0,
@@ -385,8 +450,7 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
 
     auto engine = fused_kernel.createServingEngine(queries[0], 1);
     engine->attachFaultInjector(injector);
-    EXPECT_THROW(engine->serveFusedChunk(queries, 0, 4),
-                 sim::TransientFault);
+    EXPECT_THROW(engine->serveFusedChunk(queries), sim::TransientFault);
     EXPECT_EQ(injector->stats().transientsFired, 1);
     EXPECT_EQ(engine->queriesServed(), 0);
 
@@ -394,20 +458,20 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
     // clean per-pass accounting: the first query pays full drive again
     // (bit-identical to serial), later queries amortize it.
     engine->attachFaultInjector(nullptr);
-    const core::FusedBatchResult chunk =
-        engine->serveFusedChunk(queries, 0, 4);
-    ASSERT_EQ(chunk.results.size(), 4u);
-    EXPECT_EQ(chunk.results[0].perf.queryEnergyPj,
+    const std::vector<core::ExecutionResult> chunk =
+        engine->serveFusedChunk(queries);
+    ASSERT_EQ(chunk.size(), 4u);
+    EXPECT_EQ(chunk[0].perf.queryEnergyPj,
               serial_results[0].perf.queryEnergyPj);
     double serial_energy = 0.0;
+    double chunk_energy = 0.0;
     for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(chunk.results[i].outputs[1].asBuffer()->toVector(),
+        EXPECT_EQ(chunk[i].outputs[1].asBuffer()->toVector(),
                   serial_results[i].outputs[1].asBuffer()->toVector());
         serial_energy += serial_results[i].perf.queryEnergyPj;
+        chunk_energy += chunk[i].perf.queryEnergyPj;
     }
-    EXPECT_LT(chunk.fused.total.energyPj, serial_energy);
-    EXPECT_EQ(chunk.fused.queriesFolded, 4);
-    EXPECT_EQ(chunk.fusedReport.fusedBatchK, 4);
+    EXPECT_LT(chunk_energy, serial_energy);
     EXPECT_EQ(engine->queriesServed(), 4);
 }
 
@@ -457,8 +521,8 @@ TEST(FusedBatch, AbortedSessionBatchRecordsNothing)
 
 TEST(FusedBatch, EngineRejectsBadWidth)
 {
-    // An empty or out-of-range chunk is rejected and records nothing;
-    // the engine keeps serving afterwards.
+    // An empty chunk is rejected and records nothing; the engine keeps
+    // serving afterwards.
     auto stored = randomRows(8, 64, 67);
     core::CompiledKernel kernel = compileDotKernel(8, 64);
     auto stored_buf = rt::Buffer::fromMatrix(stored);
@@ -466,11 +530,9 @@ TEST(FusedBatch, EngineRejectsBadWidth)
         {rt::Buffer::fromMatrix({stored[0]}), stored_buf},
         {rt::Buffer::fromMatrix({stored[1]}), stored_buf}};
     auto engine = kernel.createServingEngine(queries[0], 1);
-    EXPECT_THROW(engine->serveFusedChunk({}, 0, 0), CompilerError);
-    EXPECT_THROW(engine->serveFusedChunk(queries, 1, 1), CompilerError);
-    EXPECT_THROW(engine->serveFusedChunk(queries, 1, 3), CompilerError);
+    EXPECT_THROW(engine->serveFusedChunk({}), CompilerError);
     EXPECT_EQ(engine->queriesServed(), 0);
     EXPECT_EQ(engine->stats().aggregate.queriesServed, 0);
-    EXPECT_EQ(engine->serveFusedChunk(queries, 0, 2).results.size(), 2u);
+    EXPECT_EQ(engine->serveFusedChunk(queries).size(), 2u);
     EXPECT_EQ(engine->queriesServed(), 2);
 }

@@ -253,8 +253,8 @@ TEST_P(FusedAccountingSweep, FusedTotalsEqualSerialSumForRandomMixes)
     core::FusedBatchResult fused = fused_session.runFusedBatch(queries);
 
     ASSERT_EQ(fused.results.size(), static_cast<std::size_t>(k));
-    EXPECT_EQ(fused.fused.k, k);
-    EXPECT_EQ(fused.fused.queriesFolded, k);
+    EXPECT_EQ(fused.fusedReport.fusedBatchK, k);
+    EXPECT_EQ(fused.fusedReport.queriesServed, k);
 
     double lat = 0.0, energy = 0.0, cell = 0.0, sense = 0.0;
     double drive = 0.0, merge = 0.0;
@@ -289,36 +289,27 @@ TEST_P(FusedAccountingSweep, FusedTotalsEqualSerialSumForRandomMixes)
 
     // Exact equality: the fused totals ARE the serial sum (the same
     // doubles folded in the same order), not an approximation of it.
-    EXPECT_EQ(fused.fused.total.latencyNs, lat);
-    EXPECT_EQ(fused.fused.total.energyPj, energy);
-    EXPECT_EQ(fused.fused.cellEnergyPj, cell);
-    EXPECT_EQ(fused.fused.senseEnergyPj, sense);
-    EXPECT_EQ(fused.fused.driveEnergyPj, drive);
-    EXPECT_EQ(fused.fused.mergeEnergyPj, merge);
-    EXPECT_EQ(fused.fused.searches, searches);
+    EXPECT_EQ(fused.fusedReport.queryLatencyNs, lat);
+    EXPECT_EQ(fused.fusedReport.queryEnergyPj, energy);
+    EXPECT_EQ(fused.fusedReport.cellEnergyPj, cell);
+    EXPECT_EQ(fused.fusedReport.senseEnergyPj, sense);
+    EXPECT_EQ(fused.fusedReport.driveEnergyPj, drive);
+    EXPECT_EQ(fused.fusedReport.mergeEnergyPj, merge);
+    EXPECT_EQ(fused.fusedReport.searches, searches);
 
     // Amortized per-query shares multiply back to the totals (one
     // rounding each way at most -- DOUBLE_EQ, not exact).
     const double dk = static_cast<double>(k);
-    EXPECT_DOUBLE_EQ(fused.fused.latencyPerQueryNs() * dk, lat);
-    EXPECT_DOUBLE_EQ(fused.fused.energyPerQueryPj() * dk, energy);
-    EXPECT_DOUBLE_EQ(fused.fused.driveEnergyPerQueryPj() * dk, drive);
+    EXPECT_DOUBLE_EQ(fused.fusedReport.avgQueryLatencyNs() * dk, lat);
+    EXPECT_DOUBLE_EQ(fused.fusedReport.avgQueryEnergyPj() * dk, energy);
+    EXPECT_DOUBLE_EQ(fused.fusedReport.fusedDriveEnergyPerQueryPj() * dk,
+                     drive);
 
-    // The rendered report carries the same conservation: query fields
-    // are the fused totals, fusedBatchK is K, and the fused* share
-    // accessors sum back to their components.
+    // The setup share multiplies back too: setup is the session's
+    // one-time cost, paid once, not once per fused query.
     const sim::PerfReport &report = fused.fusedReport;
-    EXPECT_EQ(report.fusedBatchK, k);
-    EXPECT_EQ(report.queriesServed, k);
-    EXPECT_EQ(report.queryLatencyNs, lat);
-    EXPECT_EQ(report.queryEnergyPj, energy);
-    EXPECT_EQ(report.driveEnergyPj, drive);
-    EXPECT_DOUBLE_EQ(report.fusedDriveEnergyPerQueryPj() * dk,
-                     report.driveEnergyPj);
     EXPECT_DOUBLE_EQ(report.fusedSetupEnergyPerQueryPj() * dk,
                      report.setupEnergyPj);
-    // Setup is the session's one-time cost, paid once, not once per
-    // fused query.
     EXPECT_EQ(report.setupLatencyNs,
               fused_session.setupReport().setupLatencyNs);
     EXPECT_EQ(report.setupEnergyPj,
@@ -381,7 +372,6 @@ TEST_P(FusedAccountingSweep, TrueFusedNeverExceedsSerialAndKeepsOutputs)
     core::FusedBatchResult fused = fused_session.runFusedBatch(queries);
 
     ASSERT_EQ(fused.results.size(), static_cast<std::size_t>(k));
-    EXPECT_EQ(fused.fused.queriesFolded, k);
 
     double lat = 0.0, energy = 0.0, cell = 0.0, sense = 0.0;
     double drive = 0.0, merge = 0.0;
@@ -409,21 +399,21 @@ TEST_P(FusedAccountingSweep, TrueFusedNeverExceedsSerialAndKeepsOutputs)
     }
 
     // Non-amortizable components match serial exactly.
-    EXPECT_EQ(fused.fused.senseEnergyPj, sense);
-    EXPECT_EQ(fused.fused.mergeEnergyPj, merge);
-    EXPECT_EQ(fused.fused.searches, searches);
+    EXPECT_EQ(fused.fusedReport.senseEnergyPj, sense);
+    EXPECT_EQ(fused.fusedReport.mergeEnergyPj, merge);
+    EXPECT_EQ(fused.fusedReport.searches, searches);
     if (k >= 2) {
         // Amortizable components shrink -- strictly.
-        EXPECT_LT(fused.fused.total.latencyNs, lat);
-        EXPECT_LT(fused.fused.total.energyPj, energy);
-        EXPECT_LT(fused.fused.cellEnergyPj, cell);
-        EXPECT_LT(fused.fused.driveEnergyPj, drive);
+        EXPECT_LT(fused.fusedReport.queryLatencyNs, lat);
+        EXPECT_LT(fused.fusedReport.queryEnergyPj, energy);
+        EXPECT_LT(fused.fusedReport.cellEnergyPj, cell);
+        EXPECT_LT(fused.fusedReport.driveEnergyPj, drive);
     } else {
         // A single-query pass drives everything itself: exact serial.
-        EXPECT_EQ(fused.fused.total.latencyNs, lat);
-        EXPECT_EQ(fused.fused.total.energyPj, energy);
-        EXPECT_EQ(fused.fused.cellEnergyPj, cell);
-        EXPECT_EQ(fused.fused.driveEnergyPj, drive);
+        EXPECT_EQ(fused.fusedReport.queryLatencyNs, lat);
+        EXPECT_EQ(fused.fusedReport.queryEnergyPj, energy);
+        EXPECT_EQ(fused.fusedReport.cellEnergyPj, cell);
+        EXPECT_EQ(fused.fusedReport.driveEnergyPj, drive);
     }
     EXPECT_EQ(fused.fusedReport.fusedBatchK, k);
     EXPECT_EQ(fused.fusedReport.queriesServed, k);

@@ -209,19 +209,11 @@ TEST(ShardedEngine, FusedChunksMatchSerialReplay)
     sharding.shards = 3;
     core::ShardedEngine engine(w.options, w.source, w.batches[0],
                                sharding);
-    core::FusedBatchResult fused =
-        engine.serveFusedChunk(w.batches, 0, w.batches.size());
-    ASSERT_EQ(fused.results.size(), w.batches.size());
-    double lat = 0.0;
-    for (std::size_t q = 0; q < w.batches.size(); ++q) {
-        expectOutputsIdentical(fused.results[q], serial[q]);
-        lat += fused.results[q].perf.queryLatencyNs;
-    }
-    // The fused window's totals are the sums of the merged per-query
-    // reports.
-    EXPECT_EQ(fused.fused.k,
-              static_cast<std::int64_t>(w.batches.size()));
-    EXPECT_DOUBLE_EQ(fused.fused.total.latencyNs, lat);
+    std::vector<core::ExecutionResult> fused =
+        engine.serveFusedChunk(w.batches);
+    ASSERT_EQ(fused.size(), w.batches.size());
+    for (std::size_t q = 0; q < w.batches.size(); ++q)
+        expectOutputsIdentical(fused[q], serial[q]);
 }
 
 TEST(ShardedEngine, ServesThroughTheAsyncFrontEnd)

@@ -255,10 +255,10 @@ TEST(ExecutionPlan, SessionDifferentialTreeWalkPlanAndFusedK1)
             expectOutputsEqual(fused.results[0].outputs,
                                via_walk.outputs);
             expectReportsIdentical(fused.results[0].perf, via_walk.perf);
-            EXPECT_EQ(fused.fused.k, 1);
-            EXPECT_EQ(fused.fused.total.latencyNs,
+            EXPECT_EQ(fused.fusedReport.fusedBatchK, 1);
+            EXPECT_EQ(fused.fusedReport.queryLatencyNs,
                       via_walk.perf.queryLatencyNs);
-            EXPECT_EQ(fused.fused.total.energyPj,
+            EXPECT_EQ(fused.fusedReport.queryEnergyPj,
                       via_walk.perf.queryEnergyPj);
         }
         expectReportsIdentical(plan_session.aggregateReport(),

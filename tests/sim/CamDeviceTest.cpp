@@ -459,7 +459,7 @@ TEST(CamDevice, CloneProgrammedRejectsOpenScopes)
 }
 
 //
-// Fused multi-query windows
+// Fused multi-query passes
 //
 
 namespace {
@@ -478,97 +478,25 @@ programOneSubarray(CamDevice &device)
 
 } // namespace
 
-TEST(CamDevice, FusedWindowTotalsEqualSumOfQueryWindows)
-{
-    CamDevice device(smallSpec());
-    Handle sub = programOneSubarray(device);
-
-    // Serial reference: three windows, summed by hand.
-    double lat = 0.0;
-    double energy = 0.0;
-    double drive = 0.0;
-    double one_query_lat = 0.0;
-    std::int64_t searches = 0;
-    for (int q = 0; q < 3; ++q) {
-        device.beginQueryWindow();
-        device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
-        PerfReport report = device.report();
-        lat += report.queryLatencyNs;
-        energy += report.queryEnergyPj;
-        drive += report.driveEnergyPj;
-        searches += report.searches;
-        one_query_lat = report.queryLatencyNs;
-    }
-
-    device.beginFusedWindow(3);
-    EXPECT_TRUE(device.fusedWindowActive());
-    std::vector<PerfReport> per_query;
-    for (int q = 0; q < 3; ++q) {
-        device.beginQueryWindow();
-        device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
-        per_query.push_back(device.report());
-    }
-    FusedWindow fused = device.endFusedWindow();
-    EXPECT_FALSE(device.fusedWindowActive());
-
-    EXPECT_EQ(fused.k, 3);
-    EXPECT_EQ(fused.queriesFolded, 3);
-    EXPECT_EQ(fused.total.latencyNs, lat);
-    EXPECT_EQ(fused.total.energyPj, energy);
-    EXPECT_EQ(fused.driveEnergyPj, drive);
-    EXPECT_EQ(fused.searches, searches);
-    // The per-query windows inside the fused pass stay bit-identical
-    // to serial windows.
-    for (const PerfReport &report : per_query) {
-        EXPECT_EQ(report.queryLatencyNs, one_query_lat);
-        EXPECT_EQ(report.searches, 1);
-    }
-    // Amortized attribution divides by K.
-    EXPECT_DOUBLE_EQ(fused.driveEnergyPerQueryPj(), drive / 3.0);
-    EXPECT_DOUBLE_EQ(fused.latencyPerQueryNs(), lat / 3.0);
-}
-
-TEST(CamDevice, FusedWindowMisuseDiagnosed)
+TEST(CamDevice, FusedPassMisuseDiagnosed)
 {
     CamDevice device(smallSpec());
     programOneSubarray(device);
 
-    EXPECT_THROW(device.endFusedWindow(), CompilerError);
-    EXPECT_THROW(device.beginFusedWindow(0), CompilerError);
-    device.beginFusedWindow(2);
-    // Fused windows do not nest.
-    EXPECT_THROW(device.beginFusedWindow(2), CompilerError);
-    // Cloning mid-fused-batch is rejected.
+    // Ending a pass that is not open.
+    EXPECT_THROW(device.endFusedPass(), CompilerError);
+    device.beginFusedPass();
+    // Fused passes do not nest.
+    EXPECT_THROW(device.beginFusedPass(), CompilerError);
+    // Cloning or switching the fusion model mid-pass is rejected.
     EXPECT_THROW(device.cloneProgrammed(), CompilerError);
-    // Served fewer queries than declared.
-    device.beginQueryWindow();
-    EXPECT_THROW(device.endFusedWindow(), CompilerError);
-    // abortFusedWindow clears the poisoned state.
-    device.abortFusedWindow();
-    EXPECT_FALSE(device.fusedWindowActive());
-    device.beginFusedWindow(1);
-    device.beginQueryWindow();
-    FusedWindow fused = device.endFusedWindow();
-    EXPECT_EQ(fused.queriesFolded, 1);
-}
-
-TEST(CamDevice, FusedWindowToReportSetsAttribution)
-{
-    CamDevice device(smallSpec());
-    Handle sub = programOneSubarray(device);
-    PerfReport setup = device.report();
-
-    device.beginFusedWindow(2);
-    for (int q = 0; q < 2; ++q) {
-        device.beginQueryWindow();
-        device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
-    }
-    FusedWindow fused = device.endFusedWindow();
-    PerfReport report = fused.toReport(setup);
-    EXPECT_EQ(report.fusedBatchK, 2);
-    EXPECT_EQ(report.queriesServed, 2);
-    EXPECT_EQ(report.queryLatencyNs, fused.total.latencyNs);
-    EXPECT_EQ(report.setupLatencyNs, setup.setupLatencyNs);
-    EXPECT_DOUBLE_EQ(report.fusedDriveEnergyPerQueryPj(),
-                     fused.driveEnergyPj / 2.0);
+    EXPECT_THROW(device.setFusionModel(FusionModel::TrueFused),
+                 CompilerError);
+    device.endFusedPass();
+    EXPECT_THROW(device.endFusedPass(), CompilerError);
+    // abortQueryWindow closes an open pass.
+    device.beginFusedPass();
+    device.abortQueryWindow();
+    EXPECT_THROW(device.endFusedPass(), CompilerError);
+    EXPECT_NE(device.cloneProgrammed(), nullptr);
 }

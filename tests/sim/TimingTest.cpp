@@ -205,55 +205,27 @@ TEST(PerfReport, BatchAggregates)
     EXPECT_NE(report.str().find("queries: 16"), std::string::npos);
 }
 
-TEST(FusedWindow, CoverageMinFoldsIntoReport)
+TEST(PerfReport, AddQueryWindowMinFoldsCoverage)
 {
-    // A degraded shard result folded into a fused window must never be
-    // reported as full coverage.
-    FusedWindow window;
-    window.k = 3;
+    // A degraded shard result folded into an aggregate or a fused
+    // batch report must never be reported as full coverage.
     PerfReport full;
     full.queryLatencyNs = 10.0;
     PerfReport degraded = full;
     degraded.coverage = 0.5;
-    window.addQueryReport(full);
-    window.addQueryReport(degraded);
-    window.addQueryReport(full);
-    EXPECT_DOUBLE_EQ(window.coverage, 0.5);
-
-    PerfReport setup;
-    PerfReport report = window.toReport(setup);
+    PerfReport report;
+    report.addQueryWindow(full);
+    report.addQueryWindow(degraded);
+    report.addQueryWindow(full);
     EXPECT_DOUBLE_EQ(report.coverage, 0.5);
+    EXPECT_DOUBLE_EQ(report.queryLatencyNs, 30.0);
     // The rendered JSON carries it too (only emitted when < 1.0).
     EXPECT_NE(report.toJson().dump(2).find("coverage"),
               std::string::npos);
-    // A fully-covered window stays at the default and keeps its JSON
+    // A fully-covered fold stays at the default and keeps its JSON
     // byte-identical to pre-coverage builds.
-    FusedWindow clean;
-    clean.k = 1;
-    clean.addQueryReport(full);
-    PerfReport clean_report = clean.toReport(setup);
-    EXPECT_DOUBLE_EQ(clean_report.coverage, 1.0);
-    EXPECT_EQ(clean_report.toJson().dump(2).find("coverage"),
-              std::string::npos);
-}
-
-TEST(FusedWindow, UnderFilledWindowReportsFoldedCount)
-{
-    // An aborted/under-filled window rendering the declared width k
-    // would silently deflate every per-query average; the report must
-    // describe the queries actually folded.
-    FusedWindow window;
-    window.k = 8;
-    PerfReport query;
-    query.queryLatencyNs = 10.0;
-    query.queryEnergyPj = 4.0;
-    window.addQueryReport(query);
-    window.addQueryReport(query);
-
-    PerfReport setup;
-    PerfReport report = window.toReport(setup);
-    EXPECT_EQ(report.queriesServed, 2);
-    EXPECT_EQ(report.fusedBatchK, 2);
-    EXPECT_DOUBLE_EQ(report.avgQueryLatencyNs(), 10.0);
-    EXPECT_DOUBLE_EQ(report.avgQueryEnergyPj(), 4.0);
+    PerfReport clean;
+    clean.addQueryWindow(full);
+    EXPECT_DOUBLE_EQ(clean.coverage, 1.0);
+    EXPECT_EQ(clean.toJson().dump(2).find("coverage"), std::string::npos);
 }

@@ -28,11 +28,12 @@
  * counters. Per-query simulated cost stays identical to the serial
  * session.
  *
- * With --batch N --threads T (T > 1) but neither --async nor --shards
- * the batch takes the same async path with the default queue and
- * micro-batching off (--fuse-k 1): every query is served alone on one
- * of the T replicas, so a transient fault is retried inside that
- * query's serve instead of aborting a fused window.
+ * With --batch N --threads T (T > 1) but no --async the batch takes
+ * the same async path with the default queue and micro-batching off
+ * (--fuse-k 1): every query is served alone on one of the T replicas
+ * (or, with --shards, of the T replicas per shard), so a transient
+ * fault is retried inside that query's serve instead of aborting a
+ * fused window.
  *
  * With --batch N --trace-out FILE the run additionally records
  * per-query lifecycle spans (support::TraceCollector) through
@@ -44,9 +45,9 @@
  * With --batch N --shards M the stored tensor is partitioned across M
  * programmed CAM shards (core::ShardedEngine): each query scatters to
  * every shard and the per-shard top-k lists are merged exactly on the
- * host, bit-identical to one big device. --threads sets the replicas
- * per shard; --async serves the sharded backend through the async
- * front-end.
+ * host, bit-identical to one big device. With --async or --threads T
+ * (T > 1) the sharded backend, T replicas per shard, is served
+ * through the async front-end; otherwise one query at a time.
  *
  * Fault tolerance: --fault-spec FILE attaches a seeded
  * sim::FaultInjector (JSON spec: scripted transient faults, permanent
@@ -492,7 +493,7 @@ main(int argc, char **argv)
             core::ExecutionResult first;
             long long first_index = 0;
             sim::PerfReport total;
-            if (use_async || (threads > 1 && !shards_seen)) {
+            if (use_async || threads > 1) {
                 // Async front-end: bounded submission queue with the
                 // chosen overflow policy feeding `threads` replicas;
                 // under the default block policy the queue bound IS
@@ -674,12 +675,10 @@ main(int argc, char **argv)
                 }
             } else if (shards_seen) {
                 // Scatter-gather serving across `shards` programmed
-                // CAM shards; outputs (incl. global indices) are
-                // bit-identical to one big device. --threads sets the
-                // replicas per shard.
+                // CAM shards, one query at a time; outputs (incl.
+                // global indices) are bit-identical to one big device.
                 core::ShardedEngineOptions sharding;
                 sharding.shards = static_cast<int>(shards);
-                sharding.replicasPerShard = static_cast<int>(threads);
                 sharding.retryPolicy = retry_policy;
                 sharding.faultInjector = injector;
                 sharding.allowDegraded = allow_degraded;
@@ -697,8 +696,7 @@ main(int argc, char **argv)
                 total = stats.aggregate;
                 if (!json) {
                     std::cout << "sharded serving: "
-                              << engine.numShards() << " shards x "
-                              << threads << " replicas (top-"
+                              << engine.numShards() << " shards (top-"
                               << engine.topK() << " merge), "
                               << stats.qps
                               << " queries/sec host throughput, p50 "
