@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <span>
 #include <utility>
 
 #include "dialects/BuiltinDialect.h"
@@ -207,13 +208,18 @@ ShardedEngine::mergeShardResults(
     std::vector<sim::PerfReport> perfs;
     perfs.reserve(shard_results.size());
 
-    // Per-shard global-axis index buffers plus shape agreement checks
-    // before any merge work.
+    // Per-shard typed values and global-axis indices plus shape
+    // agreement checks before any merge work.
+    const std::size_t num_shards = shard_results.size();
     std::int64_t num_queries = -1;
-    std::vector<rt::BufferPtr> shard_values;
     std::vector<rt::BufferPtr> shard_indices;
-    shard_values.reserve(shard_results.size());
-    shard_indices.reserve(shard_results.size());
+    std::vector<std::vector<float>> value_scratch(num_shards);
+    std::vector<std::vector<std::int64_t>> index_scratch(num_shards);
+    std::vector<std::span<const float>> shard_values;
+    std::vector<std::span<const std::int64_t>> shard_global;
+    shard_indices.reserve(num_shards);
+    shard_values.reserve(num_shards);
+    shard_global.reserve(num_shards);
     for (std::size_t s = 0; s < shard_results.size(); ++s) {
         const ExecutionResult &r = shard_results[s];
         C4CAM_CHECK(r.outputs.size() == 2 && r.outputs[0].isBuffer() &&
@@ -234,12 +240,14 @@ ShardedEngine::mergeShardResults(
                     "shard " << s << " answered "
                     << values->shape()[0] << " queries, expected "
                     << num_queries);
-        shard_values.push_back(values);
+        shard_values.push_back(values->elements<float>(value_scratch[s]));
         // Local row j of shard shard_ids[s] is global row
         // j + slice.begin; contiguous slices make the remap monotone,
         // which the merge tie-break relies on.
         shard_indices.push_back(rt::host::offsetIndices(
             indices, shards_[shard_ids[s]].slice.begin));
+        shard_global.push_back(
+            shard_indices.back()->elements<std::int64_t>(index_scratch[s]));
         perfs.push_back(r.perf);
     }
 
@@ -247,26 +255,25 @@ ShardedEngine::mergeShardResults(
                                         {num_queries, topK_});
     auto out_indices = rt::Buffer::alloc(rt::DType::I64,
                                          {num_queries, topK_});
-    std::vector<std::vector<support::TopKEntry>> partials(
-        shard_results.size());
-    for (std::int64_t q = 0; q < num_queries; ++q) {
-        for (std::size_t s = 0; s < shard_results.size(); ++s) {
+    std::span<float> merged_values = out_values->denseElements<float>();
+    std::span<std::int64_t> merged_indices =
+        out_indices->denseElements<std::int64_t>();
+    const auto k = static_cast<std::size_t>(topK_);
+    std::vector<std::vector<support::TopKEntry>> partials(num_shards);
+    for (std::size_t q = 0; q < static_cast<std::size_t>(num_queries);
+         ++q) {
+        for (std::size_t s = 0; s < num_shards; ++s) {
             partials[s].clear();
-            partials[s].reserve(static_cast<std::size_t>(topK_));
-            for (std::int64_t j = 0; j < topK_; ++j)
+            partials[s].reserve(k);
+            for (std::size_t j = q * k; j < (q + 1) * k; ++j)
                 partials[s].push_back(support::TopKEntry{
-                    shard_values[s]->at({q, j}),
-                    shard_indices[s]->atInt({q, j})});
+                    shard_values[s][j], shard_global[s][j]});
         }
         std::vector<support::TopKEntry> merged =
-            support::mergeTopK(partials,
-                               static_cast<std::size_t>(topK_),
-                               mergeLargest_);
-        for (std::int64_t j = 0; j < topK_; ++j) {
-            out_values->set({q, j},
-                            merged[static_cast<std::size_t>(j)].value);
-            out_indices->setInt(
-                {q, j}, merged[static_cast<std::size_t>(j)].index);
+            support::mergeTopK(partials, k, mergeLargest_);
+        for (std::size_t j = 0; j < k; ++j) {
+            merged_values[q * k + j] = static_cast<float>(merged[j].value);
+            merged_indices[q * k + j] = merged[j].index;
         }
     }
 

@@ -1,9 +1,44 @@
 #include "runtime/Buffer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 namespace c4cam::rt {
+
+namespace {
+
+/**
+ * The int64 value of @p value truncated toward zero; NaN, +-inf and
+ * values outside the int64 range are a CompilerError.
+ */
+std::int64_t
+toInt64(double value)
+{
+    // NaN fails both comparisons; 2^63 is the first double past
+    // INT64_MAX, -2^63 is INT64_MIN exactly.
+    C4CAM_CHECK(value >= -0x1p63 && value < 0x1p63,
+                "value " << value << " is not representable as i64");
+    return static_cast<std::int64_t>(value);
+}
+
+/** Convert one element to @p To the way a store of it would. */
+template <typename To, typename From>
+To
+elementCast(From value)
+{
+    if constexpr (std::is_same_v<To, std::int64_t> &&
+                  !std::is_same_v<From, std::int64_t>)
+        return toInt64(static_cast<double>(value));
+    else
+        return static_cast<To>(value);
+}
+
+template <typename T> constexpr DType kDTypeOf = DType::F32;
+template <> constexpr DType kDTypeOf<std::int64_t> = DType::I64;
+
+} // namespace
 
 std::shared_ptr<Buffer>
 Buffer::create()
@@ -20,8 +55,12 @@ Buffer::alloc(DType dtype, std::vector<std::int64_t> shape)
     buf->strides_.assign(buf->shape_.size(), 1);
     for (int i = static_cast<int>(buf->shape_.size()) - 2; i >= 0; --i)
         buf->strides_[i] = buf->strides_[i + 1] * buf->shape_[i + 1];
-    buf->storage_ = std::make_shared<std::vector<double>>(
-        static_cast<std::size_t>(buf->numElements()), 0.0);
+    // One allocation for the control block and the zeroed elements.
+    const auto n = static_cast<std::size_t>(buf->numElements());
+    if (dtype == DType::F32)
+        buf->storage_ = std::make_shared<float[]>(n);
+    else
+        buf->storage_ = std::make_shared<std::int64_t[]>(n);
     return buf;
 }
 
@@ -32,12 +71,22 @@ Buffer::fromMatrix(const std::vector<std::vector<float>> &rows)
     const std::size_t cols = rows[0].size();
     auto buf = alloc(DType::F32, {static_cast<std::int64_t>(rows.size()),
                                   static_cast<std::int64_t>(cols)});
-    auto out = buf->storage_->begin();
+    float *out = static_cast<float *>(buf->storage_.get());
     for (const std::vector<float> &row : rows) {
         C4CAM_CHECK(row.size() == cols, "fromMatrix: ragged rows");
         out = std::copy(row.begin(), row.end(), out);
     }
     return buf;
+}
+
+template <typename Fn>
+void
+Buffer::visitStorage(Fn &&fn) const
+{
+    if (dtype_ == DType::F32)
+        fn(static_cast<float *>(storage_.get()));
+    else
+        fn(static_cast<std::int64_t *>(storage_.get()));
 }
 
 std::int64_t
@@ -59,25 +108,43 @@ Buffer::linearIndex(const std::vector<std::int64_t> &index) const
 double
 Buffer::at(const std::vector<std::int64_t> &index) const
 {
-    return (*storage_)[static_cast<std::size_t>(linearIndex(index))];
+    const std::int64_t linear = linearIndex(index);
+    double value = 0.0;
+    visitStorage([&](auto *data) {
+        value = static_cast<double>(data[linear]);
+    });
+    return value;
 }
 
 void
 Buffer::set(const std::vector<std::int64_t> &index, double value)
 {
-    (*storage_)[static_cast<std::size_t>(linearIndex(index))] = value;
+    const std::int64_t linear = linearIndex(index);
+    visitStorage([&](auto *data) {
+        using T = std::remove_pointer_t<decltype(data)>;
+        data[linear] = elementCast<T>(value);
+    });
 }
 
 std::int64_t
 Buffer::atInt(const std::vector<std::int64_t> &index) const
 {
-    return static_cast<std::int64_t>(at(index));
+    const std::int64_t linear = linearIndex(index);
+    std::int64_t value = 0;
+    visitStorage([&](auto *data) {
+        value = elementCast<std::int64_t>(data[linear]);
+    });
+    return value;
 }
 
 void
 Buffer::setInt(const std::vector<std::int64_t> &index, std::int64_t value)
 {
-    set(index, static_cast<double>(value));
+    const std::int64_t linear = linearIndex(index);
+    visitStorage([&](auto *data) {
+        using T = std::remove_pointer_t<decltype(data)>;
+        data[linear] = elementCast<T>(value);
+    });
 }
 
 std::shared_ptr<Buffer>
@@ -116,44 +183,36 @@ Buffer::assignSubview(const Buffer &base,
         storage_ = base.storage_;
 }
 
-double *
-Buffer::soleDenseStorage(DType dtype, std::int64_t n)
+template <typename T>
+T *
+Buffer::soleDenseStorage(std::int64_t n)
 {
-    if (dtype_ != dtype || shape_.size() != 1 || shape_[0] != n ||
-        strides_[0] != 1 || storage_.use_count() != 1)
+    if (shape_.size() != 1 || shape_[0] != n || strides_[0] != 1 ||
+        storage_.use_count() != 1)
         return nullptr;
-    return storage_->data() + offset_;
+    return denseElements<T>().data();
 }
 
-namespace {
-
-/**
- * Row-major walk over every index of @p shape. Templated on the
- * callback so the per-element call inlines (this sits under every
- * elementwise buffer op -- a std::function here costs an indirect
- * call plus possible allocation per element).
- */
-template <typename Fn>
-void
-forEachIndex(const std::vector<std::int64_t> &shape, Fn &&fn)
+template <typename T>
+std::span<T>
+Buffer::denseElements()
 {
-    std::vector<std::int64_t> index(shape.size(), 0);
-    while (true) {
-        fn(index);
-        int dim = static_cast<int>(shape.size()) - 1;
-        while (dim >= 0) {
-            if (++index[static_cast<std::size_t>(dim)] <
-                shape[static_cast<std::size_t>(dim)])
-                break;
-            index[static_cast<std::size_t>(dim)] = 0;
-            --dim;
-        }
-        if (dim < 0)
-            break;
-    }
+    if (dtype_ != kDTypeOf<T> || !isContiguous())
+        return {};
+    return {static_cast<T *>(storage_.get()) + offset_,
+            static_cast<std::size_t>(numElements())};
 }
 
-} // namespace
+template <typename T>
+std::span<const T>
+Buffer::elements(std::vector<T> &scratch) const
+{
+    if (dtype_ == kDTypeOf<T> && isContiguous())
+        return {static_cast<const T *>(storage_.get()) + offset_,
+                static_cast<std::size_t>(numElements())};
+    gather(scratch);
+    return scratch;
+}
 
 bool
 Buffer::isContiguous() const
@@ -183,6 +242,8 @@ Buffer::forEachLinear(Fn &&fn) const
             fn(static_cast<std::size_t>(offset_) + e);
         return;
     }
+    // Strided view: odometer walk with an incrementally maintained
+    // linear index (no per-element stride recomputation).
     std::vector<std::int64_t> index(shape_.size(), 0);
     std::int64_t linear = offset_;
     for (std::size_t e = 0; e < n; ++e) {
@@ -199,38 +260,71 @@ Buffer::forEachLinear(Fn &&fn) const
     }
 }
 
+template <typename T>
 void
-Buffer::copyFromFlat(const std::vector<double> &flat)
+Buffer::gather(std::vector<T> &out) const
 {
-    C4CAM_ASSERT(flat.size() == static_cast<std::size_t>(numElements()),
-                 "copyFromFlat element count mismatch: " << flat.size()
-                 << " vs " << numElements());
-    std::size_t i = 0;
-    forEachLinear([&](std::size_t linear) {
-        (*storage_)[linear] = flat[i++];
+    out.resize(static_cast<std::size_t>(numElements()));
+    T *to = out.data();
+    visitStorage([&](const auto *data) {
+        forEachLinear([&](std::size_t linear) {
+            *to++ = elementCast<T>(data[linear]);
+        });
+    });
+}
+
+template <typename Op>
+void
+Buffer::zipFrom(const Buffer &src, Op &&op)
+{
+    C4CAM_ASSERT(src.numElements() == numElements(),
+                 "element count mismatch: " << src.numElements() << " vs "
+                 << numElements());
+    visitStorage([&](auto *dst) {
+        src.visitStorage([&](const auto *from) {
+            using S = std::remove_cv_t<
+                std::remove_pointer_t<decltype(from)>>;
+            // A dense source that shares no storage with this view is
+            // read in place; otherwise snapshot it first, so an
+            // aliasing source is read before any element is written.
+            std::vector<S> snapshot;
+            const S *next = nullptr;
+            if (src.isContiguous() && src.storage_ != storage_) {
+                next = from + src.offset_;
+            } else {
+                src.gather(snapshot);
+                next = snapshot.data();
+            }
+            forEachLinear([&](std::size_t linear) {
+                op(dst[linear], *next++);
+            });
+        });
     });
 }
 
 void
-Buffer::addFrom(const Buffer &src)
+Buffer::copyElementsFrom(const Buffer &src)
 {
-    C4CAM_ASSERT(src.numElements() == numElements(),
-                 "addFrom element count mismatch: " << src.numElements()
-                 << " vs " << numElements());
-    // A dense source that shares no storage with this view is read in
-    // place; otherwise snapshot it first, so an aliasing source is
-    // read before any element of it is written.
-    std::vector<double> snapshot;
-    const double *from = nullptr;
-    if (src.isContiguous() && src.storage_ != storage_) {
-        from = src.storage_->data() + src.offset_;
-    } else {
-        src.readInto(snapshot);
-        from = snapshot.data();
+    if (src.dtype_ == dtype_ && isContiguous() && src.isContiguous() &&
+        src.numElements() == numElements()) {
+        // Same element type, both dense: one block copy (memmove, so
+        // an overlapping alias is copied as if through a snapshot).
+        const std::size_t bytes =
+            static_cast<std::size_t>(numElements()) *
+            (dtype_ == DType::F32 ? sizeof(float) : sizeof(std::int64_t));
+        if (bytes == 0)
+            return;
+        visitStorage([&](auto *dst) {
+            using T = std::remove_pointer_t<decltype(dst)>;
+            std::memmove(dst + offset_,
+                         static_cast<const T *>(src.storage_.get()) +
+                             src.offset_,
+                         bytes);
+        });
+        return;
     }
-    std::size_t i = 0;
-    forEachLinear([&](std::size_t linear) {
-        (*storage_)[linear] += from[i++];
+    zipFrom(src, [](auto &to, auto from) {
+        to = elementCast<std::remove_reference_t<decltype(to)>>(from);
     });
 }
 
@@ -238,42 +332,30 @@ void
 Buffer::copyFrom(const Buffer &src)
 {
     C4CAM_ASSERT(shape_ == src.shape(), "copyFrom shape mismatch");
-    if (numElements() == 0)
-        return;
-    forEachIndex(shape_, [&](const std::vector<std::int64_t> &index) {
-        set(index, src.at(index));
+    copyElementsFrom(src);
+}
+
+void
+Buffer::addFrom(const Buffer &src)
+{
+    zipFrom(src, [](auto &to, auto from) {
+        using T = std::remove_reference_t<decltype(to)>;
+        if constexpr (std::is_same_v<T, std::int64_t> &&
+                      std::is_same_v<decltype(from), std::int64_t>)
+            to += from;
+        else
+            to = elementCast<T>(static_cast<double>(to) +
+                                static_cast<double>(from));
     });
 }
 
 void
 Buffer::fill(double value)
 {
-    if (numElements() == 0)
-        return;
-    forEachIndex(shape_, [&](const std::vector<std::int64_t> &index) {
-        set(index, value);
-    });
-}
-
-void
-Buffer::readInto(std::vector<double> &out) const
-{
-    out.clear();
-    std::size_t n = static_cast<std::size_t>(numElements());
-    if (n == 0)
-        return;
-    if (isContiguous()) {
-        // Dense view: one block copy instead of an index walk.
-        auto begin = storage_->begin() +
-                     static_cast<std::ptrdiff_t>(offset_);
-        out.assign(begin, begin + static_cast<std::ptrdiff_t>(n));
-        return;
-    }
-    out.reserve(n);
-    // Strided view: odometer walk with an incrementally maintained
-    // linear index (no per-element stride recomputation).
-    forEachLinear([&](std::size_t linear) {
-        out.push_back((*storage_)[linear]);
+    visitStorage([&](auto *data) {
+        using T = std::remove_pointer_t<decltype(data)>;
+        const T converted = elementCast<T>(value);
+        forEachLinear([&](std::size_t linear) { data[linear] = converted; });
     });
 }
 
@@ -281,7 +363,7 @@ std::vector<double>
 Buffer::toVector() const
 {
     std::vector<double> out;
-    readInto(out);
+    gather(out);
     return out;
 }
 
@@ -293,13 +375,14 @@ Buffer::toMatrix() const
     std::vector<std::vector<float>> out(
         static_cast<std::size_t>(shape_[0]),
         std::vector<float>(static_cast<std::size_t>(shape_[1])));
-    for (std::int64_t r = 0; r < shape_[0]; ++r) {
-        std::int64_t row_base = offset_ + r * strides_[0];
-        for (std::int64_t c = 0; c < shape_[1]; ++c)
-            out[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
-                static_cast<float>((*storage_)[static_cast<std::size_t>(
-                    row_base + c * strides_[1])]);
-    }
+    visitStorage([&](const auto *data) {
+        for (std::int64_t r = 0; r < shape_[0]; ++r) {
+            std::int64_t row_base = offset_ + r * strides_[0];
+            float *row = out[static_cast<std::size_t>(r)].data();
+            for (std::int64_t c = 0; c < shape_[1]; ++c)
+                row[c] = static_cast<float>(data[row_base + c * strides_[1]]);
+        }
+    });
     return out;
 }
 
@@ -325,6 +408,15 @@ Buffer::str() const
     oss << "}";
     return oss.str();
 }
+
+template float *Buffer::soleDenseStorage<float>(std::int64_t);
+template std::int64_t *Buffer::soleDenseStorage<std::int64_t>(std::int64_t);
+template std::span<float> Buffer::denseElements<float>();
+template std::span<std::int64_t> Buffer::denseElements<std::int64_t>();
+template std::span<const float>
+Buffer::elements<float>(std::vector<float> &) const;
+template std::span<const std::int64_t>
+Buffer::elements<std::int64_t>(std::vector<std::int64_t> &) const;
 
 std::vector<RtValue>
 toRtValues(const std::vector<BufferPtr> &args)

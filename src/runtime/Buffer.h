@@ -7,11 +7,24 @@
  *
  * A Buffer is a view (shape + strides + offset) onto shared storage, so
  * memref.subview / tensor.extract_slice are O(1) aliases, exactly like
- * MLIR's memref descriptors.
+ * MLIR's memref descriptors. The storage is one typed block per
+ * dtype, like a bufferized memref: an F32 buffer holds floats (4
+ * bytes an element) and an I64 buffer holds std::int64_t.
+ *
+ * Element conversions follow the memref element type:
+ *  - every store into an F32 buffer rounds to float (host kernels
+ *    compute in double and round on store);
+ *  - atInt/setInt are exact over the whole int64 range of an I64
+ *    buffer; at() and toVector() read it as double, which is lossy
+ *    above 2^53;
+ *  - a double stored into an I64 buffer, or an F32 element read with
+ *    atInt, truncates toward zero, and NaN, +-inf or a value outside
+ *    the int64 range is a CompilerError.
  */
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -20,11 +33,11 @@
 
 namespace c4cam::rt {
 
-/** Element type of a buffer. */
+/** Element type of a buffer: F32 stores float, I64 std::int64_t. */
 enum class DType { F32, I64 };
 
 /**
- * A strided view onto shared dense storage.
+ * A strided view onto shared dense typed storage.
  */
 class Buffer
 {
@@ -50,13 +63,17 @@ class Buffer
         return n;
     }
 
-    /** Element read as double (converts I64 transparently). */
+    /** Element read as double (an I64 element above 2^53 rounds). */
     double at(const std::vector<std::int64_t> &index) const;
 
-    /** Element write from double. */
+    /** Element write from double: rounds to float in an F32 buffer,
+     *  truncates toward zero in an I64 one (NaN, +-inf and values
+     *  outside the int64 range are a CompilerError). */
     void set(const std::vector<std::int64_t> &index, double value);
 
-    /** Integer element accessors. */
+    /** Integer element accessors: exact in an I64 buffer; atInt of an
+     *  F32 element truncates toward zero (NaN, +-inf and out-of-range
+     *  values are a CompilerError), setInt rounds to float. */
     std::int64_t atInt(const std::vector<std::int64_t> &index) const;
     void setInt(const std::vector<std::int64_t> &index, std::int64_t value);
 
@@ -80,11 +97,29 @@ class Buffer
                        const std::vector<std::int64_t> &sizes);
 
     /**
-     * The elements of a dense rank-1 @p dtype buffer of @p n elements
-     * whose storage no other view shares; nullptr when this buffer is
-     * anything else. Plan replay writes cam.read results through it.
+     * The elements of a dense rank-1 buffer of @p n elements of type
+     * @p T (float for F32, std::int64_t for I64) whose storage no
+     * other view shares; nullptr when this buffer is anything else.
+     * Plan replay writes cam.read results through it.
      */
-    double *soleDenseStorage(DType dtype, std::int64_t n);
+    template <typename T> T *soleDenseStorage(std::int64_t n);
+
+    /**
+     * The row-major elements of a dense view whose element type is
+     * @p T; an empty span when the view is strided or of the other
+     * dtype. Host kernels fill their fresh outputs through it.
+     */
+    template <typename T> std::span<T> denseElements();
+
+    /**
+     * This view's elements in row-major order as @p T (float or
+     * std::int64_t): a span straight over the storage when the view is
+     * dense and its element type is @p T, otherwise the elements
+     * converted (as a store into a @p T buffer would) into @p scratch.
+     * cam.search hands the device its query this way.
+     */
+    template <typename T>
+    std::span<const T> elements(std::vector<T> &scratch) const;
 
     /** Deep-copy @p src into this view (shapes must match). */
     void copyFrom(const Buffer &src);
@@ -93,23 +128,24 @@ class Buffer
     void fill(double value);
 
     /**
-     * Overwrite this view's elements (row-major order) from @p flat;
-     * sizes must match. The flat-vector counterpart of copyFrom for
-     * views whose shapes differ but element counts agree.
+     * Copy @p src's elements into this view, both walked in row-major
+     * order; element counts must match, shapes may differ (1xN row
+     * views vs N vectors). Converts between dtypes like set/setInt; a
+     * same-dtype dense copy is one block copy. An aliasing source is
+     * read before any element is written.
      */
-    void copyFromFlat(const std::vector<double> &flat);
+    void copyElementsFrom(const Buffer &src);
 
     /**
      * Elementwise accumulate @p src into this view, both walked in
-     * row-major order; element counts must match.
+     * row-major order; element counts must match. Sums are taken in
+     * double (in int64 when both buffers are I64) and rounded on store.
      */
     void addFrom(const Buffer &src);
 
-    /** Flatten this view into a dense row-major vector of doubles. */
+    /** Flatten this view into a dense row-major vector of doubles
+     *  (lossy for I64 elements above 2^53). */
     std::vector<double> toVector() const;
-
-    /** toVector into a caller-owned vector (capacity is reused). */
-    void readInto(std::vector<double> &out) const;
 
     /** True when the view's elements are dense in row-major order. */
     bool isContiguous() const;
@@ -135,6 +171,17 @@ class Buffer
     /** Row-major visit of every element's storage slot. */
     template <typename Fn> void forEachLinear(Fn &&fn) const;
 
+    /** Call @p fn with the storage base as float* (F32) or
+     *  std::int64_t* (I64). */
+    template <typename Fn> void visitStorage(Fn &&fn) const;
+
+    /** Row-major elements converted to @p T into @p out. */
+    template <typename T> void gather(std::vector<T> &out) const;
+
+    /** op(dst element, src element) over both views in row-major
+     *  order, reading an aliasing or strided source from a snapshot. */
+    template <typename Op> void zipFrom(const Buffer &src, Op &&op);
+
   public:
     explicit Buffer(Private) {}
 
@@ -144,7 +191,8 @@ class Buffer
     std::vector<std::int64_t> shape_;
     std::vector<std::int64_t> strides_;
     std::int64_t offset_ = 0;
-    std::shared_ptr<std::vector<double>> storage_;
+    /** float[] for F32, std::int64_t[] for I64; shared by views. */
+    std::shared_ptr<void> storage_;
 };
 
 using BufferPtr = std::shared_ptr<Buffer>;

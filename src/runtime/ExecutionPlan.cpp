@@ -5,7 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <iomanip>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 
 #include "dialects/cam/CamDialect.h"
@@ -101,6 +103,18 @@ class PlanBuilder
         return plan_.numSlots_++;
     }
 
+    /** Append @p slot to @p inst's variadic operands (the pool keeps
+     *  one instruction's operands contiguous: append them in a row). */
+    void
+    addExtra(Instr &inst, std::int32_t slot)
+    {
+        if (inst.extraCount == 0)
+            inst.extraBegin =
+                static_cast<std::int32_t>(plan_.operands_.size());
+        plan_.operands_.push_back(slot);
+        ++inst.extraCount;
+    }
+
     void
     emitCopy(std::int32_t from, std::int32_t to)
     {
@@ -139,7 +153,7 @@ class PlanBuilder
                     return;
                 Instr &ret = emit(Opcode::Return);
                 for (std::size_t i = 0; i < op->numOperands(); ++i)
-                    ret.extra.push_back(use(op, i));
+                    addExtra(ret, use(op, i));
                 return;
             }
             if (phase == ExecPhase::SetupOnly) {
@@ -517,7 +531,7 @@ class PlanBuilder
                                 : Opcode::LoadI);
             i.a = use(op, 0);
             for (std::size_t j = 1; j < op->numOperands(); ++j)
-                i.extra.push_back(use(op, j));
+                addExtra(i, use(op, j));
             i.r = def(op);
             return;
         }
@@ -526,7 +540,7 @@ class PlanBuilder
             i.a = use(op, 0);
             i.b = use(op, 1);
             for (std::size_t j = 2; j < op->numOperands(); ++j)
-                i.extra.push_back(use(op, j));
+                addExtra(i, use(op, j));
             return;
         }
         throwUnknownOp("plan compiler", op);
@@ -747,7 +761,7 @@ class PlanBuilder
             i.a = use(op, 0);
             i.b = use(op, 1);
             i.c = use(op, 2);
-            i.extra.push_back(use(op, 3));
+            addExtra(i, use(op, 3));
             i.r = def(op);
             return;
         }
@@ -854,6 +868,45 @@ ExecutionPlan::forkFrame(const PlanFrame &frame) const
 // Replay engine
 //
 
+namespace {
+
+/**
+ * A buffer in @p dst may be rewritten in place only when @p dst is its
+ * sole owner: nothing returned, copied to another slot or held by
+ * another frame (ExecutionPlan::forkFrame) can see the write.
+ */
+bool
+soleOwned(const RtValue &dst)
+{
+    if (!dst.isBuffer() || dst.asBuffer().use_count() != 1)
+        return false;
+    // The use count may have dropped on another thread (a caller
+    // releasing a result); order that release before our writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return true;
+}
+
+/**
+ * The element storage of the rank-1, @p n-element read-out buffer in
+ * @p dst (T = float: F32, T = std::int64_t: I64): the one already there
+ * when it is solely owned and fits, else a fresh buffer stored into
+ * dst.
+ */
+template <typename T>
+T *
+readOutInto(RtValue &dst, std::int64_t n)
+{
+    if (soleOwned(dst))
+        if (T *data = dst.asBuffer()->soleDenseStorage<T>(n))
+            return data;
+    constexpr DType dtype =
+        std::is_same_v<T, float> ? DType::F32 : DType::I64;
+    dst = RtValue(Buffer::alloc(dtype, {n}));
+    return dst.asBuffer()->soleDenseStorage<T>(n);
+}
+
+} // namespace
+
 std::vector<RtValue>
 ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                    const std::vector<RtValue> &args, ExecPhase phase,
@@ -899,13 +952,7 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
 
     const std::vector<Instr> &prog = program(phase);
     std::vector<RtValue> &s = frame.slots;
-
-    // Scratch storage reused across instructions (no per-op allocs).
-    std::vector<std::int64_t> index;
-    std::vector<std::int64_t> offsets;
-    std::vector<std::int64_t> sizes;
-    std::vector<double> query_stage;
-    std::vector<float> query_floats;
+    const std::int32_t *pool = operands_.data();
 
     auto slotInt = [&s](std::int32_t slot) {
         return s[static_cast<std::size_t>(slot)].asInt();
@@ -931,6 +978,20 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
         C4CAM_CHECK(device, "cam ops require an attached CAM simulator");
         return device;
     };
+    // The variadic slots of an instruction.
+    auto extra = [pool](const Instr &inst) {
+        return std::span<const std::int32_t>(
+            pool + inst.extraBegin,
+            static_cast<std::size_t>(inst.extraCount));
+    };
+    // Load/store element index of an instruction, in frame scratch.
+    auto resolveIndex = [&](const Instr &inst)
+        -> const std::vector<std::int64_t> & {
+        frame.index.clear();
+        for (std::int32_t slot : extra(inst))
+            frame.index.push_back(slotInt(slot));
+        return frame.index;
+    };
     // Resolve a slice spec's offset/size list against the frame.
     auto resolveSlice = [&s](const std::vector<SliceDim> &dims,
                              std::vector<std::int64_t> &out) {
@@ -940,28 +1001,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                               ? s[static_cast<std::size_t>(dim.slot)]
                                     .asInt()
                               : dim.imm);
-    };
-    // A buffer in @p dst may be rewritten in place only when @p dst is
-    // its sole owner: nothing returned, copied to another slot or held
-    // by another frame (ExecutionPlan::forkFrame) can see the write.
-    auto soleOwned = [](const RtValue &dst) {
-        if (!dst.isBuffer() || dst.asBuffer().use_count() != 1)
-            return false;
-        // The use count may have dropped on another thread (a caller
-        // releasing a result); order that release before our writes.
-        std::atomic_thread_fence(std::memory_order_acquire);
-        return true;
-    };
-    // The element storage of the rank-1 dtype/n read-out buffer in
-    // @p dst: the one already there when it is solely owned and fits,
-    // else a fresh buffer stored into dst.
-    auto readOutInto = [&](RtValue &dst, DType dtype,
-                           std::int64_t n) -> double * {
-        if (soleOwned(dst))
-            if (double *data = dst.asBuffer()->soleDenseStorage(dtype, n))
-                return data;
-        dst = RtValue(Buffer::alloc(dtype, {n}));
-        return dst.asBuffer()->soleDenseStorage(dtype, n);
     };
     auto evalCmpI = [](std::int64_t a, std::int64_t b,
                        std::int64_t pred) -> bool {
@@ -1025,8 +1064,8 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             break;
           case Opcode::Return: {
             std::vector<RtValue> results;
-            results.reserve(inst.extra.size());
-            for (std::int32_t slot : inst.extra)
+            results.reserve(static_cast<std::size_t>(inst.extraCount));
+            for (std::int32_t slot : extra(inst))
                 results.push_back(s[static_cast<std::size_t>(slot)]);
             if (executed_ops)
                 *executed_ops += executed;
@@ -1142,37 +1181,27 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             // owned instead of allocating a new one.
             const SliceSpec &spec =
                 slices_[static_cast<std::size_t>(inst.aux)];
-            resolveSlice(spec.offsets, offsets);
-            resolveSlice(spec.sizes, sizes);
+            resolveSlice(spec.offsets, frame.offsets);
+            resolveSlice(spec.sizes, frame.sizes);
             const Buffer &base = *slotBuf(inst.a);
             RtValue &dst = s[static_cast<std::size_t>(inst.r)];
             if (soleOwned(dst))
-                dst.asBuffer()->assignSubview(base, offsets, sizes);
+                dst.asBuffer()->assignSubview(base, frame.offsets,
+                                              frame.sizes);
             else
-                dst = RtValue(base.subview(offsets, sizes));
+                dst = RtValue(base.subview(frame.offsets, frame.sizes));
             break;
           }
-          case Opcode::LoadF: {
-            index.clear();
-            for (std::int32_t slot : inst.extra)
-                index.push_back(slotInt(slot));
-            putFloat(inst.r, slotBuf(inst.a)->at(index));
+          case Opcode::LoadF:
+            putFloat(inst.r, slotBuf(inst.a)->at(resolveIndex(inst)));
             break;
-          }
-          case Opcode::LoadI: {
-            index.clear();
-            for (std::int32_t slot : inst.extra)
-                index.push_back(slotInt(slot));
-            putInt(inst.r, slotBuf(inst.a)->atInt(index));
+          case Opcode::LoadI:
+            putInt(inst.r, slotBuf(inst.a)->atInt(resolveIndex(inst)));
             break;
-          }
-          case Opcode::Store: {
-            index.clear();
-            for (std::int32_t slot : inst.extra)
-                index.push_back(slotInt(slot));
-            slotBuf(inst.b)->set(index, slotFloat(inst.a));
+          case Opcode::Store:
+            host::storeElement(*slotBuf(inst.b), resolveIndex(inst),
+                               s[static_cast<std::size_t>(inst.a)]);
             break;
-          }
 
           case Opcode::Transpose2d:
             put(inst.r, RtValue(host::transpose2d(slotBuf(inst.a))));
@@ -1283,7 +1312,7 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CamGetSubarray:
             putInt(inst.r, requireDevice()->subarrayAt(
                                slotInt(inst.a), slotInt(inst.b),
-                               slotInt(inst.c), slotInt(inst.extra[0])));
+                               slotInt(inst.c), slotInt(extra(inst)[0])));
             break;
           case Opcode::CamWriteValue:
             requireDevice()->writeValue(
@@ -1302,10 +1331,10 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             int row_end = spec.rowEndSlot >= 0
                               ? static_cast<int>(slotInt(spec.rowEndSlot))
                               : spec.rowEnd;
-            query->readInto(query_stage);
-            query_floats.assign(query_stage.begin(), query_stage.end());
+            // A contiguous query view is searched in place; a strided
+            // one is gathered into the frame's float scratch.
             requireDevice()->search(
-                sub, query_floats,
+                sub, query->elements<float>(frame.queryScratch),
                 static_cast<arch::SearchKind>(spec.kind), spec.euclidean,
                 row_begin, row_end, spec.threshold, spec.selective);
             break;
@@ -1313,17 +1342,13 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CamRead: {
             const sim::SearchResult &result =
                 requireDevice()->read(slotInt(inst.a));
-            const std::size_t n = result.values.size();
-            double *values =
-                readOutInto(s[static_cast<std::size_t>(inst.r)], DType::F32,
-                            static_cast<std::int64_t>(n));
-            double *indices =
-                readOutInto(s[static_cast<std::size_t>(inst.r2)],
-                            DType::I64, static_cast<std::int64_t>(n));
-            for (std::size_t i = 0; i < n; ++i) {
-                values[i] = result.values[i];
-                indices[i] = static_cast<double>(result.indices[i]);
-            }
+            const auto n = static_cast<std::int64_t>(result.values.size());
+            std::copy(result.values.begin(), result.values.end(),
+                      readOutInto<float>(
+                          s[static_cast<std::size_t>(inst.r)], n));
+            std::copy(result.indices.begin(), result.indices.end(),
+                      readOutInto<std::int64_t>(
+                          s[static_cast<std::size_t>(inst.r2)], n));
             break;
           }
           case Opcode::CamMergePartialSub: {
@@ -1430,7 +1455,8 @@ usesImm(Opcode op)
 }
 
 void
-printInstr(std::ostream &os, const Instr &in, std::size_t idx)
+printInstr(std::ostream &os, const Instr &in, std::size_t idx,
+           const std::vector<std::int32_t> &pool)
 {
     os << "  " << std::setw(4) << idx << "  " << std::left
        << std::setw(19) << opcodeName(in.op) << std::right;
@@ -1444,10 +1470,11 @@ printInstr(std::ostream &os, const Instr &in, std::size_t idx)
         os << " b=s" << in.b;
     if (in.c >= 0)
         os << " c=s" << in.c;
-    if (!in.extra.empty()) {
+    if (in.extraCount > 0) {
         os << " extra=[";
-        for (std::size_t k = 0; k < in.extra.size(); ++k)
-            os << (k ? "," : "") << "s" << in.extra[k];
+        for (std::int32_t k = 0; k < in.extraCount; ++k)
+            os << (k ? "," : "") << "s"
+               << pool[static_cast<std::size_t>(in.extraBegin + k)];
         os << "]";
     }
     if (in.target >= 0)
@@ -1496,7 +1523,7 @@ ExecutionPlan::disassemble() const
     for (const auto &[name, prog] : phases) {
         os << "phase " << name << " (" << prog->size() << " instrs):\n";
         for (std::size_t i = 0; i < prog->size(); ++i)
-            printInstr(os, (*prog)[i], i);
+            printInstr(os, (*prog)[i], i, operands_);
     }
     if (!slices_.empty()) {
         os << "slices (" << slices_.size() << "):\n";

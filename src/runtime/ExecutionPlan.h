@@ -42,8 +42,10 @@
  * only while the slot is the object's sole owner. A buffer that was
  * returned, copied into another slot or is held by another frame is
  * never written; the steady-state query phase of a lowered kernel
- * then allocates nothing per tile. The reuse state is the frame's own
- * slots (plus run() locals), never the shared const plan.
+ * then allocates nothing per tile. cam.search hands the device a span
+ * straight over its (dense) query view; a strided view is gathered
+ * into the frame's float scratch. The reuse state is the frame's own
+ * slots and scratch vectors, never the shared const plan.
  *
  * Replay is semantically identical to the tree walk by construction:
  * both back ends share the host tensor kernels (runtime/HostKernels.h)
@@ -85,7 +87,7 @@ enum class Opcode : std::uint8_t {
     BeginSeqScope, ///< device timing: open sequential scope
     BeginParScope, ///< device timing: open parallel scope
     EndScope,      ///< device timing: close scope
-    Return,        ///< stop; results are the slots in extra
+    Return,        ///< stop; results are the variadic slots
 
     // Constants
     ConstInt,   ///< frame[r] = imm
@@ -105,8 +107,8 @@ enum class Opcode : std::uint8_t {
     AllocBuf, ///< aux = shape spec
     CopyBuf,  ///< element-count-preserving copy a -> b
     Subview,  ///< aux = slice spec
-    LoadF, LoadI, ///< extra = index slots
-    Store,        ///< a = value, b = buffer, extra = index slots
+    LoadF, LoadI, ///< variadic = index slots
+    Store,        ///< a = value, b = buffer, variadic = index slots
 
     // Host tensor kernels (torch / cim)
     Transpose2d,
@@ -125,7 +127,7 @@ enum class Opcode : std::uint8_t {
     CamAllocMat,
     CamAllocArray,
     CamAllocSubarray,
-    CamGetSubarray, ///< operands a, b, c, extra[0]
+    CamGetSubarray, ///< operands a, b, c and one variadic slot
     CamWriteValue,  ///< imm = row_offset
     CamSearch,      ///< aux = search spec
     CamRead,
@@ -137,7 +139,11 @@ enum class CmpIPred : std::uint8_t { Eq, Ne, Slt, Sle, Sgt, Sge };
 /** Float compare predicates. */
 enum class CmpFPred : std::uint8_t { Olt, Ole, Ogt, Oge, Oeq };
 
-/** One replay instruction. Slot fields index the PlanFrame. */
+/**
+ * One replay instruction. Slot fields index the PlanFrame. Variadic
+ * operands (index slots, returned slots) live in the plan's operand
+ * pool, so an instruction owns no heap memory.
+ */
 struct Instr
 {
     Opcode op;
@@ -148,17 +154,20 @@ struct Instr
     std::int32_t r2 = -1; ///< second result slot
     std::int32_t target = -1; ///< branch target (instruction index)
     std::int32_t aux = -1;    ///< index into the opcode's aux table
+    std::int32_t extraBegin = 0; ///< first variadic slot in the pool
+    std::int32_t extraCount = 0; ///< number of variadic slots
     std::int64_t imm = 0;     ///< integer immediate / predicate
     double fimm = 0.0;        ///< float immediate
-    std::vector<std::int32_t> extra; ///< variadic operand/result slots
 };
+static_assert(sizeof(Instr) <= 56, "keep plan instructions packed");
 
 /**
  * All mutable state of one plan-based execution: the dense slot frame
- * (the counterpart of ExecutionState's SSA environment) and the
- * cim-handle counter. The slots also hold the buffers replay reuses,
- * so a device replica forks a post-setup frame with
- * ExecutionPlan::forkFrame(), never by plain copy.
+ * (the counterpart of ExecutionState's SSA environment), the
+ * cim-handle counter and replay's scratch vectors. The slots also
+ * hold the buffers replay reuses, so a device replica forks a
+ * post-setup frame with ExecutionPlan::forkFrame(), never by plain
+ * copy.
  */
 struct PlanFrame
 {
@@ -171,6 +180,15 @@ struct PlanFrame
      *  frame for a replica copies a disabled context or the caller
      *  re-stamps it per query. */
     support::SpanContext trace;
+
+    /// @name Replay scratch (capacity reused across run() calls)
+    /// @{
+    std::vector<std::int64_t> index;   ///< load/store element index
+    std::vector<std::int64_t> offsets; ///< resolved subview offsets
+    std::vector<std::int64_t> sizes;   ///< resolved subview sizes
+    /** A strided cam.search query view gathered into floats. */
+    std::vector<float> queryScratch;
+    /// @}
 };
 
 /**
@@ -308,6 +326,8 @@ class ExecutionPlan
 
     std::vector<Instr> setup_;
     std::vector<Instr> query_;
+    /** Variadic operand slots of both programs (Instr::extraBegin). */
+    std::vector<std::int32_t> operands_;
 
     std::vector<ShapeSpec> shapes_;
     std::vector<SliceSpec> slices_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <span>
 
 #include "support/Error.h"
 
@@ -169,7 +170,17 @@ copyInto(const BufferPtr &src, const BufferPtr &dst, const char *what)
     C4CAM_CHECK(src->numElements() == dst->numElements(),
                 what << " size mismatch: " << src->numElements() << " vs "
                 << dst->numElements());
-    dst->copyFromFlat(src->toVector());
+    dst->copyElementsFrom(*src);
+}
+
+void
+storeElement(Buffer &dst, const std::vector<std::int64_t> &index,
+             const RtValue &value)
+{
+    if (value.isInt())
+        dst.setInt(index, value.asInt());
+    else
+        dst.set(index, value.asFloat());
 }
 
 void
@@ -181,6 +192,38 @@ addInto(const BufferPtr &acc, const BufferPtr &partial, const char *what)
     acc->addFrom(*partial);
 }
 
+namespace {
+
+/**
+ * Top-k of each of the @p outer rows of @p inner elements of @p flat
+ * into the dense outer x k @p values and @p indices.
+ */
+template <typename T>
+void
+topkRows(std::span<const T> flat, std::int64_t outer, std::int64_t inner,
+         std::int64_t k, bool largest, std::span<float> values,
+         std::span<std::int64_t> indices)
+{
+    std::vector<std::int64_t> order(static_cast<std::size_t>(inner));
+    for (std::int64_t o = 0; o < outer; ++o) {
+        const T *row = flat.data() + o * inner;
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::int64_t a, std::int64_t b) {
+                             return largest ? row[a] > row[b]
+                                            : row[a] < row[b];
+                         });
+        for (std::int64_t j = 0; j < k; ++j) {
+            const auto out = static_cast<std::size_t>(o * k + j);
+            const std::int64_t pick = order[static_cast<std::size_t>(j)];
+            values[out] = static_cast<float>(row[pick]);
+            indices[out] = pick;
+        }
+    }
+}
+
+} // namespace
+
 std::pair<BufferPtr, BufferPtr>
 topk(const BufferPtr &in, std::int64_t k, bool largest)
 {
@@ -190,39 +233,23 @@ topk(const BufferPtr &in, std::int64_t k, bool largest)
                 << inner);
     std::int64_t outer = in->numElements() / std::max<std::int64_t>(inner, 1);
 
-    std::vector<std::int64_t> out_shape(in->shape().begin(),
-                                        in->shape().end() - 1);
-    out_shape.push_back(k);
+    std::vector<std::int64_t> out_shape = in->shape();
+    if (out_shape.empty())
+        out_shape.push_back(k);
+    else
+        out_shape.back() = k;
     auto values = Buffer::alloc(DType::F32, out_shape);
-    auto indices = Buffer::alloc(DType::I64, out_shape);
-
-    std::vector<double> flat = in->toVector();
-    std::vector<std::int64_t> order(static_cast<std::size_t>(inner));
-    std::vector<std::int64_t> index(out_shape.size(), 0);
-    for (std::int64_t o = 0; o < outer; ++o) {
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::int64_t a, std::int64_t b) {
-                             double va = flat[static_cast<std::size_t>(
-                                 o * inner + a)];
-                             double vb = flat[static_cast<std::size_t>(
-                                 o * inner + b)];
-                             return largest ? va > vb : va < vb;
-                         });
-        for (std::int64_t j = 0; j < k; ++j) {
-            std::int64_t rem = o;
-            for (int d = static_cast<int>(out_shape.size()) - 2; d >= 0;
-                 --d) {
-                index[static_cast<std::size_t>(d)] =
-                    rem % out_shape[static_cast<std::size_t>(d)];
-                rem /= out_shape[static_cast<std::size_t>(d)];
-            }
-            index.back() = j;
-            values->set(index, flat[static_cast<std::size_t>(
-                                   o * inner + order[static_cast<
-                                       std::size_t>(j)])]);
-            indices->setInt(index, order[static_cast<std::size_t>(j)]);
-        }
+    auto indices = Buffer::alloc(DType::I64, std::move(out_shape));
+    if (in->dtype() == DType::F32) {
+        std::vector<float> scratch;
+        topkRows(in->elements<float>(scratch), outer, inner, k, largest,
+                 values->denseElements<float>(),
+                 indices->denseElements<std::int64_t>());
+    } else {
+        std::vector<std::int64_t> scratch;
+        topkRows(in->elements<std::int64_t>(scratch), outer, inner, k,
+                 largest, values->denseElements<float>(),
+                 indices->denseElements<std::int64_t>());
     }
     return {values, indices};
 }
@@ -231,10 +258,11 @@ BufferPtr
 offsetIndices(const BufferPtr &in, std::int64_t offset)
 {
     auto out = Buffer::alloc(DType::I64, in->shape());
-    std::vector<double> flat = in->toVector();
-    for (double &v : flat)
-        v += static_cast<double>(offset);
-    out->copyFromFlat(flat);
+    std::vector<std::int64_t> scratch;
+    std::span<const std::int64_t> from = in->elements<std::int64_t>(scratch);
+    std::span<std::int64_t> to = out->denseElements<std::int64_t>();
+    for (std::size_t i = 0; i < from.size(); ++i)
+        to[i] = from[i] + offset;
     return out;
 }
 

@@ -10,7 +10,9 @@
  * (the paper's host reference path). They are pure functions of their
  * inputs -- safe to call from any thread -- and both execution back
  * ends dispatch into the same implementations, so the plan replay
- * cannot drift numerically from the tree walk.
+ * cannot drift numerically from the tree walk. Arithmetic is done in
+ * double and rounded to float where it is stored into an F32 output,
+ * as an f32 memref would hold it.
  */
 
 #include <cstdint>
@@ -39,15 +41,16 @@ BufferPtr elementwiseDiv(const BufferPtr &a, const BufferPtr &b);
 /** L-p norm (p in {1, 2}) over the last dimension. */
 BufferPtr normLastDim(const BufferPtr &in, int p);
 
-/** Top-k along the last dim. @return {values, indices}. */
+/**
+ * Top-k along the last dim, stable (ties keep the lower index).
+ * @return {values (F32), indices (I64)}.
+ */
 std::pair<BufferPtr, BufferPtr> topk(const BufferPtr &in, std::int64_t k,
                                      bool largest);
 
 /**
- * Fresh I64 buffer: every element of @p in plus @p offset. The
- * sharding layer uses this to remap a shard's row-local topk indices
- * into the global stored-vector axis (global = local + slice.begin).
- * Exact for |value + offset| < 2^53 (buffer storage is double).
+ * Fresh I64 buffer: every element of @p in plus @p offset, exact in
+ * int64 (an F32 @p in converts like Buffer::atInt first).
  */
 BufferPtr offsetIndices(const BufferPtr &in, std::int64_t offset);
 
@@ -60,11 +63,19 @@ BufferPtr cosineDiv(const BufferPtr &m, const BufferPtr &qn,
 
 /**
  * Element-count-preserving copy of @p src into @p dst (shapes may
- * differ, e.g. 1xN row views vs N vectors). @p what names the op for
- * the size-mismatch diagnostic.
+ * differ, e.g. 1xN row views vs N vectors; a same-dtype dense copy is
+ * one block copy). @p what names the op for the size-mismatch
+ * diagnostic.
  */
 void copyInto(const BufferPtr &src, const BufferPtr &dst,
               const char *what = "memref.copy");
+
+/**
+ * memref.store of @p value into @p dst at @p index: an integer value
+ * is stored exactly (setInt), a float one rounds on store (set).
+ */
+void storeElement(Buffer &dst, const std::vector<std::int64_t> &index,
+                  const RtValue &value);
 
 /**
  * In-place elementwise accumulate @p partial into @p acc (flattened,

@@ -107,6 +107,8 @@ class Executor
                       std::vector<std::int64_t> &sizes);
 
     ExecutionState &state_;
+    /** A strided cam.search query view gathered into floats. */
+    std::vector<float> queryScratch_;
 };
 
 bool
@@ -445,7 +447,7 @@ Executor::runMemRef(Operation *op)
         std::vector<std::int64_t> index;
         for (std::size_t i = 2; i < op->numOperands(); ++i)
             index.push_back(get(op->operand(i)).asInt());
-        dst->set(index, value.asFloat());
+        host::storeElement(*dst, index, value);
         return;
     }
     throwUnknownOp("interpreter", op);
@@ -726,10 +728,9 @@ Executor::runCam(Operation *op)
             row_end = static_cast<int>(get(op->operand(3)).asInt());
         }
         bool selective = op->boolAttrOr("selective", false);
-        std::vector<double> qv = query->toVector();
-        std::vector<float> qf(qv.begin(), qv.end());
-        device()->search(sub, qf, kind, euclidean, row_begin, row_end,
-                         threshold, selective);
+        device()->search(sub, query->elements<float>(queryScratch_), kind,
+                         euclidean, row_begin, row_end, threshold,
+                         selective);
         return;
     }
     if (name == camd::kRead) {
@@ -738,11 +739,10 @@ Executor::runCam(Operation *op)
         std::int64_t n = static_cast<std::int64_t>(result.values.size());
         auto values = Buffer::alloc(DType::F32, {n});
         auto indices = Buffer::alloc(DType::I64, {n});
-        for (std::int64_t i = 0; i < n; ++i) {
-            values->set({i}, result.values[static_cast<std::size_t>(i)]);
-            indices->setInt({i},
-                            result.indices[static_cast<std::size_t>(i)]);
-        }
+        std::copy(result.values.begin(), result.values.end(),
+                  values->denseElements<float>().begin());
+        std::copy(result.indices.begin(), result.indices.end(),
+                  indices->denseElements<std::int64_t>().begin());
         set(op->result(0), RtValue(values));
         set(op->result(1), RtValue(indices));
         return;

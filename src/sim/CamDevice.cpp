@@ -271,7 +271,7 @@ CamDevice::writeRanges(Handle subarray_handle,
 }
 
 void
-CamDevice::search(Handle subarray_handle, const std::vector<float> &query,
+CamDevice::search(Handle subarray_handle, std::span<const float> query,
                   arch::SearchKind kind, bool euclidean, int row_begin,
                   int row_end, double threshold, bool selective)
 {

@@ -10,11 +10,11 @@
  * CAM simulator"). It combines the functional CamSubarray model with the
  * TechModel cost model and the scope-based TimingEngine.
  *
- * The query path allocates nothing once warm: subarrays sit in a
- * vector indexed by handle, and each owns one reusable SearchResult
- * stamped with the number of the query window that filled it, so
- * search() and read() do no keyed lookup and starting a window
- * clears no container.
+ * The query path allocates nothing once warm: search() reads its
+ * query through a span (no copy), subarrays sit in a vector indexed
+ * by handle, and each owns one reusable SearchResult stamped with the
+ * number of the query window that filled it, so search() and read()
+ * do no keyed lookup and starting a window clears no container.
  *
  * Accounting is one query window at a time: report() describes the
  * current window on top of the device-lifetime setup cost. A fused
@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -104,9 +105,12 @@ class CamDevice
      * [row_begin, row_end) are sensed/read out; negative bounds mean
      * the full subarray. With @p selective set (selective search [27])
      * the sense-amplifier energy is confined to the window; without it
-     * the whole subarray senses. Accounted as query cost.
+     * the whole subarray senses. Accounted as query cost. The query is
+     * read in place: both back ends pass a span straight over the
+     * contiguous query view of cam.search (a std::vector<float>
+     * converts implicitly).
      */
-    void search(Handle subarray, const std::vector<float> &query,
+    void search(Handle subarray, std::span<const float> query,
                 arch::SearchKind kind, bool euclidean, int row_begin = -1,
                 int row_end = -1, double threshold = 0.0,
                 bool selective = false);

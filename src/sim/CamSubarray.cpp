@@ -64,16 +64,19 @@ CamSubarray::writeRanges(const std::vector<std::vector<CamCell>> &cells,
     C4CAM_CHECK(row_offset >= 0 &&
                     row_offset + static_cast<int>(cells.size()) <= rows_,
                 "writeRanges exceeds subarray rows");
+    for (const std::vector<CamCell> &row : cells)
+        C4CAM_CHECK(static_cast<int>(row.size()) <= cols_,
+                    "writeRanges exceeds subarray columns: " << row.size()
+                    << " > " << cols_);
     for (std::size_t r = 0; r < cells.size(); ++r)
-        for (std::size_t c = 0; c < cells[r].size() &&
-                                static_cast<int>(c) < cols_; ++c)
-            cells_[row_offset + r][c] = cells[r][c];
+        std::copy(cells[r].begin(), cells[r].end(),
+                  cells_[row_offset + r].begin());
     writtenRows_ = std::max(writtenRows_,
                             row_offset + static_cast<int>(cells.size()));
 }
 
 void
-CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
+CamSubarray::search(std::span<const float> query, arch::SearchKind kind,
                     bool euclidean, int row_begin, int row_end,
                     double threshold, SearchResult &result,
                     std::vector<float> &quantized) const
@@ -103,7 +106,10 @@ CamSubarray::search(const std::vector<float> &query, arch::SearchKind kind,
     for (int r = row_begin; r < row_end; ++r) {
         double dist = 0.0;
         const std::vector<CamCell> &row = cells_[static_cast<std::size_t>(r)];
-        for (std::size_t c = 0; c < query.size(); ++c) {
+        // Bounded by quantized, the query's width: with the span's size
+        // as the bound GCC 12 lays the mismatch path out with an extra
+        // jump, ~10% slower on hdc-shaped queries.
+        for (std::size_t c = 0; c < quantized.size(); ++c) {
             const CamCell &cell = row[c];
             float q = quantized[c];
             if (euclidean) {

@@ -10,14 +10,16 @@
  * (paper §II-B). Selective row search [27] restricts the active row
  * window so multiple data batches can share one subarray.
  *
- * The serving path searches into a caller-owned SearchResult and
- * quantize scratch (CamDevice keeps one result per subarray), so a
- * steady-state search allocates nothing; the by-value search() is a
- * thin wrapper for one-off callers.
+ * The serving path searches a span of the caller's query into a
+ * caller-owned SearchResult and quantize scratch (CamDevice keeps one
+ * result per subarray), so a steady-state search copies no query and
+ * allocates nothing; the by-value search() taking a vector is a thin
+ * wrapper for one-off callers.
  */
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "arch/ArchSpec.h"
@@ -83,7 +85,8 @@ class CamSubarray
     void write(const std::vector<std::vector<float>> &data, int row_offset);
 
     /**
-     * Program analog acceptance ranges (ACAM): lo/hi per cell.
+     * Program analog acceptance ranges (ACAM): lo/hi per cell. Rows
+     * wider than the subarray are diagnosed, as in write().
      */
     void writeRanges(const std::vector<std::vector<CamCell>> &cells,
                      int row_offset);
@@ -97,7 +100,7 @@ class CamSubarray
      * @param euclidean euclidean (else hamming) distance
      * @param threshold range-match threshold (ignored otherwise)
      */
-    void search(const std::vector<float> &query, arch::SearchKind kind,
+    void search(std::span<const float> query, arch::SearchKind kind,
                 bool euclidean, int row_begin, int row_end,
                 double threshold, SearchResult &result,
                 std::vector<float> &quantized) const;

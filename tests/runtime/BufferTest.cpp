@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <span>
+
 #include "runtime/Buffer.h"
 #include "support/Error.h"
 
@@ -168,17 +172,17 @@ TEST(Buffer, AssignSubviewRepointsInPlace)
 TEST(Buffer, SoleDenseStorageOnlyForUnsharedVectors)
 {
     auto vec = Buffer::alloc(DType::F32, {3});
-    ASSERT_NE(vec->soleDenseStorage(DType::F32, 3), nullptr);
-    EXPECT_EQ(vec->soleDenseStorage(DType::I64, 3), nullptr);
-    EXPECT_EQ(vec->soleDenseStorage(DType::F32, 4), nullptr);
+    ASSERT_NE(vec->soleDenseStorage<float>(3), nullptr);
+    EXPECT_EQ(vec->soleDenseStorage<std::int64_t>(3), nullptr);
+    EXPECT_EQ(vec->soleDenseStorage<float>(4), nullptr);
     {
         auto alias = vec->subview({1}, {2});
-        EXPECT_EQ(vec->soleDenseStorage(DType::F32, 3), nullptr);
+        EXPECT_EQ(vec->soleDenseStorage<float>(3), nullptr);
     }
-    EXPECT_NE(vec->soleDenseStorage(DType::F32, 3), nullptr);
+    EXPECT_NE(vec->soleDenseStorage<float>(3), nullptr);
 
     auto mat = Buffer::alloc(DType::F32, {2, 2});
-    EXPECT_EQ(mat->soleDenseStorage(DType::F32, 4), nullptr);
+    EXPECT_EQ(mat->soleDenseStorage<float>(4), nullptr);
 }
 
 TEST(Buffer, AddFromReadsAnAliasingSourceFirst)
@@ -196,4 +200,96 @@ TEST(Buffer, AddFromReadsAnAliasingSourceFirst)
     auto out = Buffer::alloc(DType::F32, {2});
     out->addFrom(*strided);
     EXPECT_EQ(out->toVector(), (std::vector<double>{1, 3}));
+}
+
+TEST(Buffer, I64HoldsValuesAbove2To53)
+{
+    // 2^53 + 1 is the first integer a double cannot hold.
+    const std::int64_t big = (std::int64_t(1) << 53) + 1;
+    auto buf = Buffer::alloc(DType::I64, {2, 3});
+    buf->setInt({1, 2}, big);
+    EXPECT_EQ(buf->atInt({1, 2}), big);
+    buf->setInt({0, 0}, std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(buf->atInt({0, 0}), std::numeric_limits<std::int64_t>::min());
+
+    auto view = buf->subview({1, 1}, {1, 2});
+    EXPECT_EQ(view->atInt({0, 1}), big);
+    view->setInt({0, 0}, big + 2);
+    EXPECT_EQ(buf->atInt({1, 1}), big + 2);
+
+    auto copy = Buffer::alloc(DType::I64, {1, 2});
+    copy->copyFrom(*view);
+    EXPECT_EQ(copy->atInt({0, 0}), big + 2);
+    EXPECT_EQ(copy->atInt({0, 1}), big);
+}
+
+TEST(Buffer, F32StoresRoundToFloat)
+{
+    auto buf = Buffer::alloc(DType::F32, {2});
+    buf->set({0}, 0.1);
+    EXPECT_EQ(buf->at({0}), static_cast<double>(0.1f));
+    EXPECT_NE(buf->at({0}), 0.1);
+    buf->setInt({1}, (std::int64_t(1) << 24) + 1);
+    EXPECT_EQ(buf->atInt({1}), std::int64_t(1) << 24);
+}
+
+TEST(Buffer, IntConversionOutOfRangeIsDiagnosed)
+{
+    auto ints = Buffer::alloc(DType::I64, {1});
+    EXPECT_THROW(ints->set({0}, std::nan("")), CompilerError);
+    EXPECT_THROW(ints->set({0}, 1e300), CompilerError);
+    EXPECT_THROW(ints->set({0}, -std::numeric_limits<double>::infinity()),
+                 CompilerError);
+    EXPECT_EQ(ints->atInt({0}), 0);
+
+    auto floats = Buffer::alloc(DType::F32, {1});
+    floats->set({0}, std::nan(""));
+    EXPECT_THROW(floats->atInt({0}), CompilerError);
+    EXPECT_THROW(ints->copyFrom(*floats), CompilerError);
+}
+
+TEST(Buffer, ElementsReadDenseViewsInPlaceAndGatherStridedOnes)
+{
+    auto buf = Buffer::fromMatrix({{1, 2, 3}, {4, 5, 6}});
+    std::vector<float> scratch;
+
+    // A [1, w] row view is dense: the span is the storage itself.
+    auto row = buf->subview({1, 0}, {1, 3});
+    std::span<const float> in_place = row->elements<float>(scratch);
+    EXPECT_EQ(in_place.data(), buf->denseElements<float>().data() + 3);
+    EXPECT_TRUE(scratch.empty());
+
+    // A column view is strided: gathered into the scratch.
+    auto column = buf->subview({0, 1}, {2, 1});
+    std::span<const float> gathered = column->elements<float>(scratch);
+    EXPECT_EQ(gathered.data(), scratch.data());
+    EXPECT_EQ(scratch, (std::vector<float>{2, 5}));
+
+    // Another dtype converts while it gathers.
+    auto ints = Buffer::alloc(DType::I64, {2});
+    ints->setInt({1}, 7);
+    std::vector<float> converted;
+    std::span<const float> as_floats = ints->elements<float>(converted);
+    EXPECT_EQ(std::vector<float>(as_floats.begin(), as_floats.end()),
+              (std::vector<float>{0, 7}));
+    EXPECT_TRUE(column->denseElements<float>().empty());
+    EXPECT_TRUE(ints->denseElements<float>().empty());
+}
+
+TEST(Buffer, SoleDenseStorageIsTypedForI64Vectors)
+{
+    auto vec = Buffer::alloc(DType::I64, {3});
+    std::int64_t *data = vec->soleDenseStorage<std::int64_t>(3);
+    ASSERT_NE(data, nullptr);
+    EXPECT_EQ(vec->soleDenseStorage<float>(3), nullptr);
+    EXPECT_EQ(vec->soleDenseStorage<std::int64_t>(2), nullptr);
+    {
+        auto alias = vec->subview({0}, {3});
+        EXPECT_EQ(vec->soleDenseStorage<std::int64_t>(3), nullptr);
+    }
+    data[2] = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(vec->atInt({2}), std::numeric_limits<std::int64_t>::max());
+
+    auto mat = Buffer::alloc(DType::I64, {2, 2});
+    EXPECT_EQ(mat->soleDenseStorage<std::int64_t>(4), nullptr);
 }

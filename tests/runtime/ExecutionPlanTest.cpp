@@ -18,6 +18,7 @@
 #include "ir/Parser.h"
 #include "runtime/ExecutionPlan.h"
 #include "runtime/Interpreter.h"
+#include "sim/CamDevice.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 
@@ -400,4 +401,79 @@ TEST(ExecutionPlan, ModuleMutationInvalidatesCachedPlan)
         kernel.executionPlan();
     ASSERT_TRUE(second);
     EXPECT_NE(first.get(), second.get());
+}
+
+TEST(ExecutionPlan, StridedQueryViewIsGatheredForTheSearch)
+{
+    // cam-map always hands cam.search a dense [1, w] row view, which
+    // both back ends search in place. A column view is strided: it is
+    // gathered into float scratch first, and must search exactly like
+    // the column's values.
+    ir::Context ctx;
+    dialects::loadAllDialects(ctx);
+    std::string text =
+        "\"builtin.module\"() ({\n"
+        "  \"func.func\"() ({\n"
+        "  ^bb0(%q: memref<4x4xf32>, %w: memref<4x4xf32>):\n"
+        "    %c4 = \"arith.constant\"() {value = 4} : () -> index\n"
+        "    %b = \"cam.alloc_bank\"(%c4, %c4)"
+        " : (index, index) -> !cam.bank_id\n"
+        "    %m = \"cam.alloc_mat\"(%b) : (!cam.bank_id) -> !cam.mat_id\n"
+        "    %a = \"cam.alloc_array\"(%m)"
+        " : (!cam.mat_id) -> !cam.array_id\n"
+        "    %s = \"cam.alloc_subarray\"(%a)"
+        " : (!cam.array_id) -> !cam.subarray_id\n"
+        "    \"cam.write_value\"(%s, %w) {row_offset = 0}"
+        " : (!cam.subarray_id, memref<4x4xf32>) -> ()\n"
+        "    %col = \"memref.subview\"(%q) {static_offsets = [0, 2],"
+        " static_sizes = [4, 1]} : (memref<4x4xf32>) -> memref<4x1xf32>\n"
+        "    \"cam.search\"(%s, %col) {kind = \"best\","
+        " metric = \"hamming\"} : (!cam.subarray_id, memref<4x1xf32>) -> ()\n"
+        "    %v, %i = \"cam.read\"(%s) {kind = \"best\"}"
+        " : (!cam.subarray_id) -> (memref<0xf32>, memref<0xi64>)\n"
+        "    \"func.return\"(%v, %i) : (memref<0xf32>, memref<0xi64>) -> ()\n"
+        "  }) {sym_name = \"strided\"} : () -> ()\n"
+        "}) : () -> ()\n";
+    ir::Module module = ir::parseModule(ctx, text);
+
+    const std::vector<std::vector<float>> stored = {
+        {1, 0, 1, 0}, {0, 1, 1, 0}, {1, 1, 0, 1}, {0, 0, 1, 1}};
+    const std::vector<std::vector<float>> queries = {
+        {0, 0, 1, 0}, {0, 0, 1, 0}, {0, 0, 0, 0}, {0, 0, 1, 0}};
+    std::vector<rt::RtValue> args = {
+        rt::RtValue(rt::Buffer::fromMatrix(queries)),
+        rt::RtValue(rt::Buffer::fromMatrix(stored))};
+
+    ArchSpec spec;
+    spec.rows = 4;
+    spec.cols = 4;
+    sim::CamSubarray reference(4, 4, spec.camType, spec.bitsPerCell);
+    reference.write(stored, 0);
+    sim::SearchResult expected = reference.search(
+        {1, 1, 0, 1}, arch::SearchKind::Best, false);
+
+    auto plan = rt::ExecutionPlan::compile(module, "strided");
+    rt::PlanFrame frame = plan->makeFrame();
+    sim::CamDevice plan_device(spec);
+    std::vector<rt::RtValue> via_plan =
+        plan->run(frame, &plan_device, args,
+                  rt::ExecutionPlan::ExecPhase::QueryOnly);
+    sim::CamDevice walk_device(spec);
+    rt::Interpreter interpreter(module, &walk_device);
+    std::vector<rt::RtValue> via_walk = interpreter.callFunction(
+        "strided", args, rt::Interpreter::ExecPhase::Full);
+
+    for (const auto *outputs : {&via_plan, &via_walk}) {
+        ASSERT_EQ(outputs->size(), 2u);
+        EXPECT_EQ((*outputs)[0].asBuffer()->toVector(),
+                  std::vector<double>(expected.values.begin(),
+                                      expected.values.end()));
+        EXPECT_EQ((*outputs)[1].asBuffer()->toVector(),
+                  std::vector<double>(expected.indices.begin(),
+                                      expected.indices.end()));
+    }
+    // The gathered column {1, 1, 0, 1} is stored row 2.
+    EXPECT_EQ(expected.values, (std::vector<float>{3, 3, 0, 3}));
+    // The frame kept the gathered column for the next strided search.
+    EXPECT_EQ(frame.queryScratch, (std::vector<float>{1, 1, 0, 1}));
 }

@@ -14,6 +14,10 @@ using c4cam::arch::SearchKind;
 
 namespace {
 
+// CamDevice::search takes a span, which a braced list cannot bind to.
+const std::vector<float> kAlternating = {1, 0, 1, 0};
+const std::vector<float> kOnes = {1, 1, 1, 1};
+
 ArchSpec
 smallSpec()
 {
@@ -88,7 +92,7 @@ TEST(CamDevice, SearchReadRoundTrip)
     Handle sub = device.allocSubarray(
         device.allocArray(device.allocMat(bank)));
     device.writeValue(sub, {{1, 0, 1, 0}, {0, 1, 0, 1}});
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    device.search(sub, kAlternating, SearchKind::Best, false, 0, 2);
     const SearchResult &r = device.read(sub);
     ASSERT_EQ(r.values.size(), 2u);
     EXPECT_FLOAT_EQ(r.values[0], 0.0f);
@@ -116,7 +120,7 @@ TEST(CamDevice, WritesAccountAsSetupSearchesAsQuery)
     EXPECT_DOUBLE_EQ(after_write.queryLatencyNs, 0.0);
     EXPECT_EQ(after_write.writes, 1);
 
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     PerfReport after_search = device.report();
     EXPECT_GT(after_search.queryLatencyNs, 0.0);
     EXPECT_GT(after_search.queryEnergyPj, 0.0);
@@ -138,9 +142,9 @@ TEST(CamDevice, SelectiveSearchUsesLessEnergy)
     device.writeValue(full, {{1, 0, 1, 0}});
     device.writeValue(windowed, {{1, 0, 1, 0}});
 
-    device.search(full, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(full, kAlternating, SearchKind::Best, false);
     double full_energy = device.report().queryEnergyPj;
-    device.search(windowed, {1, 0, 1, 0}, SearchKind::Best, false, 0, 4,
+    device.search(windowed, kAlternating, SearchKind::Best, false, 0, 4,
                   0.0, /*selective=*/true);
     double windowed_energy =
         device.report().queryEnergyPj - full_energy;
@@ -158,8 +162,8 @@ TEST(CamDevice, ParallelScopesShapeLatency)
     device.writeValue(b, {{0, 0, 0, 0}});
 
     device.timing().beginScope(/*parallel=*/true);
-    device.search(a, {1, 1, 1, 1}, SearchKind::Best, false);
-    device.search(b, {1, 1, 1, 1}, SearchKind::Best, false);
+    device.search(a, kOnes, SearchKind::Best, false);
+    device.search(b, kOnes, SearchKind::Best, false);
     device.timing().endScope();
     double parallel_latency = device.report().queryLatencyNs;
 
@@ -171,8 +175,8 @@ TEST(CamDevice, ParallelScopesShapeLatency)
     device2.writeValue(c, {{1, 1, 1, 1}});
     device2.writeValue(d, {{0, 0, 0, 0}});
     device2.timing().beginScope(/*parallel=*/false);
-    device2.search(c, {1, 1, 1, 1}, SearchKind::Best, false);
-    device2.search(d, {1, 1, 1, 1}, SearchKind::Best, false);
+    device2.search(c, kOnes, SearchKind::Best, false);
+    device2.search(d, kOnes, SearchKind::Best, false);
     device2.timing().endScope();
     double sequential_latency = device2.report().queryLatencyNs;
 
@@ -221,7 +225,7 @@ TEST(CamDevice, RejectsInvalidHandles)
     // Negative and out-of-range handles are user errors, not UB.
     EXPECT_THROW(device.writeValue(-1, {{1, 1, 1, 1}}), CompilerError);
     EXPECT_THROW(device.writeValue(9999, {{1, 1, 1, 1}}), CompilerError);
-    EXPECT_THROW(device.search(-7, {1, 1, 1, 1}, SearchKind::Best, false),
+    EXPECT_THROW(device.search(-7, kOnes, SearchKind::Best, false),
                  CompilerError);
     EXPECT_THROW(device.read(std::numeric_limits<Handle>::min()),
                  CompilerError);
@@ -240,7 +244,8 @@ TEST(CamDevice, RejectsWrongHierarchyLevelHandles)
 
     // A bank handle is not a subarray handle (and vice versa).
     EXPECT_THROW(device.writeValue(bank, {{1, 1, 1, 1}}), CompilerError);
-    EXPECT_THROW(device.search(mat, {1}, SearchKind::Best, false),
+    EXPECT_THROW(device.search(mat, std::vector<float>{1}, SearchKind::Best,
+                               false),
                  CompilerError);
     EXPECT_THROW(device.allocMat(sub), CompilerError);
     EXPECT_THROW(device.allocSubarray(mat), CompilerError);
@@ -273,7 +278,7 @@ TEST(CamDevice, ReadBeforeSearchIsDiagnosed)
         EXPECT_NE(msg.find("search"), std::string::npos);
     }
     // After a search, read works.
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     EXPECT_EQ(device.read(sub).values.size(), 4u);
 }
 
@@ -298,7 +303,7 @@ TEST(CamDevice, QueryWindowResetsQueryCostsOnly)
     Handle sub =
         device.allocSubarray(device.allocArray(device.allocMat(bank)));
     device.writeValue(sub, {{1, 0, 1, 0}});
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
 
     PerfReport first = device.report();
     EXPECT_GT(first.queryLatencyNs, 0.0);
@@ -320,7 +325,7 @@ TEST(CamDevice, QueryWindowResetsQueryCostsOnly)
     EXPECT_THROW(device.read(sub), CompilerError);
 
     // A second identical query window reproduces the first bit-for-bit.
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     PerfReport second = device.report();
     EXPECT_EQ(second.queryLatencyNs, first.queryLatencyNs);
     EXPECT_EQ(second.queryEnergyPj, first.queryEnergyPj);
@@ -363,7 +368,7 @@ TEST(CamDevice, CloneProgrammedIsIndependent)
 
     // Handle numbering carries over: the same handle addresses the
     // same (copied) subarray on the clone.
-    clone->search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    clone->search(sub, kAlternating, SearchKind::Best, false);
     const SearchResult &result = clone->read(sub);
     ASSERT_FALSE(result.matchedRows.empty());
     EXPECT_EQ(result.matchedRows[0], 0);
@@ -373,7 +378,7 @@ TEST(CamDevice, CloneProgrammedIsIndependent)
     EXPECT_THROW(device.read(sub), CompilerError);
 
     // Identical queries on original and clone cost exactly the same.
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     PerfReport a = device.report();
     PerfReport b = clone->report();
     EXPECT_EQ(a.queryLatencyNs, b.queryLatencyNs);
@@ -382,7 +387,7 @@ TEST(CamDevice, CloneProgrammedIsIndependent)
 
     // Writing to the clone does not touch the original's cells.
     clone->writeValue(sub, {{0, 0, 0, 0}});
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     EXPECT_EQ(device.read(sub).matchedRows[0], 0);
 }
 
@@ -394,7 +399,7 @@ TEST(CamDevice, AbortQueryWindowDropsResultsAndSearches)
         device.allocSubarray(device.allocArray(device.allocMat(bank)));
     device.writeValue(sub, {{1, 0, 1, 0}});
     device.timing().beginScope(/*parallel=*/false);
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
     ASSERT_EQ(device.read(sub).values.size(), 4u);
 
     // An unwound query's results are as unreadable as a finished
@@ -404,7 +409,7 @@ TEST(CamDevice, AbortQueryWindowDropsResultsAndSearches)
     EXPECT_EQ(device.report().searches, 0);
     EXPECT_EQ(device.timing().depth(), 0);
 
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 1);
+    device.search(sub, kAlternating, SearchKind::Best, false, 0, 1);
     EXPECT_EQ(device.read(sub).matchedRows, std::vector<std::int32_t>{0});
     EXPECT_EQ(device.report().searches, 1);
 }
@@ -416,7 +421,7 @@ TEST(CamDevice, CloneCannotReadTheOriginalsLastResult)
     Handle sub =
         device.allocSubarray(device.allocArray(device.allocMat(bank)));
     device.writeValue(sub, {{1, 0, 1, 0}});
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    device.search(sub, kAlternating, SearchKind::Best, false);
 
     std::unique_ptr<CamDevice> clone = device.cloneProgrammed();
     EXPECT_THROW(clone->read(sub), CompilerError);
@@ -431,7 +436,7 @@ TEST(CamDevice, ReadReferenceSurvivesLaterAllocations)
     Handle array = device.allocArray(device.allocMat(bank));
     Handle sub = device.allocSubarray(array);
     device.writeValue(sub, {{1, 0, 1, 0}, {0, 1, 0, 1}});
-    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    device.search(sub, kAlternating, SearchKind::Best, false, 0, 2);
     const SearchResult &result = device.read(sub);
     CamSubarray &cells = device.subarray(sub);
 

@@ -224,14 +224,17 @@ TEST(CamSubarray, SearchIntoReplacesThePreviousResult)
     CamSubarray sub = makeTcam();
     SearchResult result;
     std::vector<float> scratch;
-    sub.search({1, 0, 1, 0, 1, 0, 1, 0}, SearchKind::Best, false, 0, 8,
-               0.0, result, scratch);
+    // The result-reusing search takes a span, which a braced list
+    // cannot bind to.
+    const std::vector<float> alternating = {1, 0, 1, 0, 1, 0, 1, 0};
+    const std::vector<float> ones = {1, 1, 1, 1, 1, 1, 1, 1};
+    sub.search(alternating, SearchKind::Best, false, 0, 8, 0.0, result,
+               scratch);
     ASSERT_EQ(result.values.size(), 8u);
 
     // A narrower window into the same result: nothing of the first
     // search survives, and the by-value search agrees.
-    sub.search({1, 1, 1, 1, 1, 1, 1, 1}, SearchKind::Exact, false, 1, 3,
-               0.0, result, scratch);
+    sub.search(ones, SearchKind::Exact, false, 1, 3, 0.0, result, scratch);
     SearchResult fresh =
         sub.search({1, 1, 1, 1, 1, 1, 1, 1}, SearchKind::Exact, false, 1, 3);
     EXPECT_EQ(result.values, fresh.values);
@@ -239,8 +242,27 @@ TEST(CamSubarray, SearchIntoReplacesThePreviousResult)
     EXPECT_EQ(result.matchedRows, (std::vector<std::int32_t>{1}));
 
     // Rejected arguments leave the result untouched.
-    EXPECT_THROW(sub.search({1}, SearchKind::Exact, false, 0, 9, 0.0,
-                            result, scratch),
+    EXPECT_THROW(sub.search(std::vector<float>{1}, SearchKind::Exact, false,
+                            0, 9, 0.0, result, scratch),
                  CompilerError);
     EXPECT_EQ(result.matchedRows, (std::vector<std::int32_t>{1}));
+}
+
+TEST(CamSubarray, WriteRangesRejectsRowsWiderThanTheSubarray)
+{
+    CamSubarray sub(2, 2, CamDeviceType::Acam, 2);
+    const CamCell cell{0.0f, 1.0f, false};
+    // As write() does, a row wider than the subarray is diagnosed
+    // instead of losing its extra columns, and nothing is programmed.
+    EXPECT_THROW(sub.writeRanges({{cell, cell}, {cell, cell, cell}}, 0),
+                 CompilerError);
+    EXPECT_EQ(sub.writtenRows(), 0);
+    SearchResult r = sub.search({5.0f, 5.0f}, SearchKind::Exact, false);
+    EXPECT_EQ(r.matchedRows, (std::vector<std::int32_t>{0, 1}));
+
+    // Rows as wide as the subarray, or narrower, still program.
+    sub.writeRanges({{cell, cell}, {cell}}, 0);
+    EXPECT_EQ(sub.writtenRows(), 2);
+    r = sub.search({5.0f, 5.0f}, SearchKind::Exact, false);
+    EXPECT_EQ(r.matchedRows, (std::vector<std::int32_t>{}));
 }
